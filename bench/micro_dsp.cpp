@@ -16,8 +16,8 @@
 #include "adaptive/lms.hpp"
 #include "audio/generators.hpp"
 #include "common/rng.hpp"
-#include "core/gcc_phat.hpp"
 #include "core/lanc.hpp"
+#include "core/relay_select.hpp"
 #include "core/shadow_filter.hpp"
 #include "dsp/convolution.hpp"
 #include "dsp/fft.hpp"
@@ -412,19 +412,40 @@ void BM_FleetThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetThroughput)->Arg(8);
 
-void BM_GccPhat(benchmark::State& state) {
+// One full selection period through RelaySelector::push: the per-sample
+// capture plus the GCC-PHAT round it ends with. /1 is the paper-default
+// device (one relay, 1 s period), /4 the mesh (four relays, 0.5 s).
+void BM_RelaySelectRound(benchmark::State& state) {
+  const auto relays = static_cast<std::size_t>(state.range(0));
+  const double fs = 16000.0;
+  const double period_s = relays == 1 ? 1.0 : 0.5;
+  const auto period = static_cast<std::size_t>(period_s * fs);
   Rng rng(8);
-  Signal a(8000), b(8000);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = static_cast<Sample>(rng.gaussian(0.2));
-    b[i] = (i >= 40) ? a[i - 40] : 0.0f;
+  Signal source(period + 400);
+  for (auto& v : source) v = static_cast<Sample>(rng.gaussian(0.2));
+  // Relay k hears the source 40 * (k + 1) samples before the ear.
+  std::vector<Signal> feeds(relays, Signal(period));
+  Signal ear(period);
+  for (std::size_t t = 0; t < period; ++t) {
+    ear[t] = source[t];
+    for (std::size_t k = 0; k < relays; ++k) {
+      feeds[k][t] = source[t + 40 * (k + 1)];
+    }
   }
+  core::RelaySelector selector(relays, fs, period_s);
+  Signal feed(relays);
   for (auto _ : state) {
-    auto r = core::gcc_phat(a, b, 16000.0);
-    benchmark::DoNotOptimize(r.peak_lag_s);
+    for (std::size_t t = 0; t < period; ++t) {
+      for (std::size_t k = 0; k < relays; ++k) feed[k] = feeds[k][t];
+      if (auto sel = selector.push(feed, ear[t])) {
+        benchmark::DoNotOptimize(sel->all.data());
+      }
+    }
   }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(period));
 }
-BENCHMARK(BM_GccPhat);
+BENCHMARK(BM_RelaySelectRound)->Arg(1)->Arg(4);
 
 }  // namespace
 

@@ -145,17 +145,26 @@ void FxlmsEngine::restore_snapshot() {
 void FxlmsEngine::retarget_noncausal(std::size_t new_noncausal,
                                      std::ptrdiff_t weight_shift) {
   const std::size_t new_total = new_noncausal + opts_.causal_taps;
-  std::vector<double> w_new(new_total, 0.0);
-  double norm2 = 0.0;
   const auto old_total = static_cast<std::ptrdiff_t>(w_.size());
-  for (std::size_t i = 0; i < new_total; ++i) {
+  // Remap in place, walking away from the side the reads come from so
+  // every source is read before it is overwritten. Reusing the capacity
+  // keeps a retarget from allocating unless the window outgrows every
+  // earlier one (in a fleet tenant's monotonic arena a fresh vector per
+  // retarget is never reclaimed).
+  w_.resize(std::max(w_.size(), new_total), 0.0);
+  const auto remap = [&](std::size_t i) {
     const std::ptrdiff_t src = static_cast<std::ptrdiff_t>(i) + weight_shift;
-    if (src >= 0 && src < old_total) {
-      w_new[i] = w_[static_cast<std::size_t>(src)];
-      norm2 += w_new[i] * w_new[i];
-    }
+    w_[i] = (src >= 0 && src < old_total) ? w_[static_cast<std::size_t>(src)]
+                                          : 0.0;
+  };
+  if (weight_shift >= 0) {
+    for (std::size_t i = 0; i < new_total; ++i) remap(i);
+  } else {
+    for (std::size_t i = new_total; i-- > 0;) remap(i);
   }
-  w_ = std::move(w_new);
+  w_.resize(new_total);
+  double norm2 = 0.0;
+  for (const double w : w_) norm2 += w * w;
   opts_.noncausal_taps = new_noncausal;
   x_hist_.assign(new_total, 0.0);
   u_hist_.assign(new_total, 0.0);

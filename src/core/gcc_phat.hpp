@@ -4,6 +4,7 @@
 #include <span>
 #include <vector>
 
+#include "common/rt_annotations.hpp"
 #include "common/types.hpp"
 
 namespace mute::core {
@@ -16,9 +17,79 @@ struct GccPhatResult {
   double peak_value = 0.0;          // correlation at the peak
 };
 
-/// Generalized cross-correlation with phase transform (Brandstein &
-/// Silverman), the paper's Section 4.2 tool for deciding whether the
-/// wirelessly forwarded signal leads the acoustic arrival.
+/// Peak of one relay's correlation in a GccPhatPlan round.
+struct GccPhatPeak {
+  double lag_s = 0.0;  // positive: the error mic trails the relay
+  double value = 0.0;  // PHAT correlation at the peak
+};
+
+/// Plan-based GCC-PHAT (Brandstein & Silverman): correlates R relay
+/// records against one error-mic record of the same interval, every
+/// record `record_len` samples long. All buffers are sized at
+/// construction; run() allocates nothing.
+///
+/// A round zero-pads each record to nfft = next_pow2(2 * record_len) and
+/// spends ceil((R+1)/2) forward and ceil(R/2) inverse complex transforms,
+/// against 2R and R for independent pairwise correlations:
+///   - two real records share one forward transform (real and imaginary
+///     part); the error mic rides with relay 0 when R is odd and is
+///     transformed alone when R is even, so the relays pair up after it;
+///   - the PHAT weight 1/sqrt(re^2 + im^2) is applied over the Hermitian
+///     half-spectrum only;
+///   - two relays' real correlations come back from the real and
+///     imaginary parts of one inverse transform;
+///   - only the +-max_lag window of each correlation is scanned.
+/// An all-zero record has an exactly zero spectrum, so its correlation is
+/// zero everywhere — whatever rounding its transform partner leaks in.
+class GccPhatPlan {
+ public:
+  GccPhatPlan(std::size_t relay_count, std::size_t record_len,
+              double sample_rate, double max_lag_s = 0.05);
+
+  /// Capture storage, filled by the caller before run().
+  std::span<Sample> error_record() { return record(0); }
+  std::span<Sample> relay_record(std::size_t i) { return record(1 + i); }
+
+  /// Correlate every relay record against the error record; results in
+  /// peaks() and correlation().
+  MUTE_RT_SAFE void run();
+
+  /// Per-relay peaks of the last run().
+  std::span<const GccPhatPeak> peaks() const { return peaks_; }
+
+  /// Relay `i`'s PHAT correlation of the last run() at lags
+  /// -max_lag() .. +max_lag() samples.
+  std::span<const double> correlation(std::size_t i) const {
+    return {corr_.data() + i * window_, window_};
+  }
+
+  std::size_t relay_count() const { return peaks_.size(); }
+  std::size_t max_lag() const { return max_lag_; }
+
+ private:
+  std::span<Sample> record(std::size_t k) {
+    return {records_.data() + k * n_, n_};
+  }
+  void load_pair(std::size_t a, std::size_t b);
+  void cross_pair(std::size_t first_relay);
+  void scan(std::size_t relay, bool imag_part);
+
+  std::size_t n_;
+  std::size_t nfft_;
+  double fs_;
+  std::size_t max_lag_;
+  std::size_t window_;  // 2 * max_lag_ + 1
+  std::vector<Sample> records_;  // error, relay 0, ..., relay R-1
+  std::vector<bool> silent_;     // per record: all samples zero
+  ComplexSignal work_;           // nfft_: forward, then inverse transform
+  ComplexSignal err_spec_;       // nfft_ / 2 + 1: error-mic half-spectrum
+  std::vector<double> corr_;     // relay-major correlation windows
+  std::vector<GccPhatPeak> peaks_;
+};
+
+/// One-shot GCC-PHAT of two recordings, the paper's Section 4.2 tool for
+/// deciding whether the wirelessly forwarded signal leads the acoustic
+/// arrival. Builds a one-relay GccPhatPlan.
 ///
 /// Convention: a *positive* peak lag means `delayed` is a delayed copy of
 /// `reference` — i.e. the relay (pass it as `reference`) heard the sound

@@ -2,35 +2,38 @@
 
 #include <algorithm>
 
+#include "common/contracts.hpp"
 #include "common/error.hpp"
 
 namespace mute::core {
 
-RelaySelection select_relay(std::span<const Signal> relay_streams,
-                            std::span<const Sample> error_mic_stream,
-                            double sample_rate,
-                            const RelaySelectorOptions& options) {
-  ensure(!relay_streams.empty(), "need at least one relay stream");
+namespace {
+
+// Storage for a round over `relay_count` relays; rank_round() refills it
+// without reallocating.
+RelaySelection sized_selection(std::size_t relay_count) {
   RelaySelection out;
-  out.all.reserve(relay_streams.size());
-  for (std::size_t i = 0; i < relay_streams.size(); ++i) {
-    ensure(relay_streams[i].size() == error_mic_stream.size(),
-           "relay and error-mic records must be aligned");
-    const auto g = gcc_phat(relay_streams[i], error_mic_stream, sample_rate,
-                            options.max_lag_s);
-    RelayMeasurement m;
-    m.relay_index = i;
-    m.lookahead_s = g.peak_lag_s;  // positive: ear lags the relay
-    m.confidence = g.peak_value;
-    out.all.push_back(m);
+  out.all.resize(relay_count);
+  out.ranked.reserve(relay_count);
+  return out;
+}
+
+// Turn a round's per-relay peaks into `out`: every measurement in relay
+// order, then every confident, positive-lookahead candidate by descending
+// lookahead (relay index breaks ties). The winner is the head of the
+// ranking, the rest are warm standbys.
+void rank_round(std::span<const GccPhatPeak> peaks,
+                const RelaySelectorOptions& options, RelaySelection& out) {
+  for (std::size_t i = 0; i < peaks.size(); ++i) {
+    out.all[i].relay_index = i;
+    out.all[i].lookahead_s = peaks[i].lag_s;  // positive: ear lags the relay
+    out.all[i].confidence = peaks[i].value;
   }
-  // Rank every confident, positive-lookahead candidate (descending
-  // lookahead); the winner is the head, the rest are warm standbys.
-  for (const auto& m : out.all) {
-    if (m.confidence < options.min_confidence) continue;
-    if (m.lookahead_s < options.min_lookahead_s) continue;
-    out.ranked.push_back(m);
-  }
+  out.ranked = out.all;  // within the capacity reserved for every relay
+  std::erase_if(out.ranked, [&](const RelayMeasurement& m) {
+    return m.confidence < options.min_confidence ||
+           m.lookahead_s < options.min_lookahead_s;
+  });
   std::sort(out.ranked.begin(), out.ranked.end(),
             [](const RelayMeasurement& a, const RelayMeasurement& b) {
               if (a.lookahead_s != b.lookahead_s) {
@@ -38,19 +41,40 @@ RelaySelection select_relay(std::span<const Signal> relay_streams,
               }
               return a.relay_index < b.relay_index;  // deterministic ties
             });
+  out.chosen = std::nullopt;
   if (!out.ranked.empty()) out.chosen = out.ranked.front();
+}
+
+}  // namespace
+
+RelaySelection select_relay(std::span<const Signal> relay_streams,
+                            std::span<const Sample> error_mic_stream,
+                            double sample_rate,
+                            const RelaySelectorOptions& options) {
+  ensure(!relay_streams.empty(), "need at least one relay stream");
+  GccPhatPlan plan(relay_streams.size(), error_mic_stream.size(), sample_rate,
+                   options.max_lag_s);
+  std::copy(error_mic_stream.begin(), error_mic_stream.end(),
+            plan.error_record().begin());
+  for (std::size_t i = 0; i < relay_streams.size(); ++i) {
+    ensure(relay_streams[i].size() == error_mic_stream.size(),
+           "relay and error-mic records must be aligned");
+    std::copy(relay_streams[i].begin(), relay_streams[i].end(),
+              plan.relay_record(i).begin());
+  }
+  plan.run();
+  RelaySelection out = sized_selection(relay_streams.size());
+  rank_round(plan.peaks(), options, out);
   return out;
 }
 
 RelaySelector::RelaySelector(std::size_t relay_count, double sample_rate,
                              double period_s, RelaySelectorOptions options)
-    : fs_(sample_rate),
-      period_samples_(static_cast<std::size_t>(period_s * sample_rate)),
-      opts_(options), relays_(relay_count) {
-  ensure(relay_count >= 1, "need at least one relay");
+    : period_samples_(static_cast<std::size_t>(period_s * sample_rate)),
+      opts_(options),
+      plan_(relay_count, period_samples_, sample_rate, options.max_lag_s),
+      selection_(sized_selection(relay_count)) {
   ensure(period_samples_ >= 256, "selection period too short");
-  for (auto& r : relays_) r.reserve(period_samples_);
-  error_.reserve(period_samples_);
 }
 
 double standby_score(const RelayMeasurement& m, double needed_lookahead_s) {
@@ -60,22 +84,22 @@ double standby_score(const RelayMeasurement& m, double needed_lookahead_s) {
   return m.confidence * usable;
 }
 
-std::optional<RelaySelection> RelaySelector::push(
-    std::span<const Sample> relay_samples, Sample error_mic_sample) {
-  ensure(relay_samples.size() == relays_.size(),
+RelaySelectionRef RelaySelector::push(std::span<const Sample> relay_samples,
+                                      Sample error_mic_sample) {
+  ensure(relay_samples.size() == plan_.relay_count(),
          "one sample per relay required");
-  for (std::size_t i = 0; i < relays_.size(); ++i) {
-    relays_[i].push_back(relay_samples[i]);
+  MUTE_RT_SCOPE("RelaySelector::push");
+  for (std::size_t i = 0; i < relay_samples.size(); ++i) {
+    plan_.relay_record(i)[filled_] = relay_samples[i];
   }
-  error_.push_back(error_mic_sample);
-  if (error_.size() < period_samples_) return std::nullopt;
+  plan_.error_record()[filled_] = error_mic_sample;
+  if (++filled_ < period_samples_) return {};
 
-  RelaySelection sel =
-      select_relay(relays_, error_, fs_, opts_);
-  latest_ = sel;
-  for (auto& r : relays_) r.clear();
-  error_.clear();
-  return sel;
+  filled_ = 0;
+  plan_.run();
+  rank_round(plan_.peaks(), opts_, selection_);
+  has_selection_ = true;
+  return RelaySelectionRef(&selection_);
 }
 
 }  // namespace mute::core

@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/rt_annotations.hpp"
@@ -51,42 +50,60 @@ double standby_score(const RelayMeasurement& m, double needed_lookahead_s);
 
 /// Decide which relay (if any) offers positive lookahead by GCC-PHAT
 /// correlating each relay's forwarded waveform against the error-mic
-/// recording of the same interval.
+/// recording of the same interval. Builds the same GccPhatPlan a
+/// RelaySelector owns.
 RelaySelection select_relay(
     std::span<const Signal> relay_streams,
     std::span<const Sample> error_mic_stream, double sample_rate,
     const RelaySelectorOptions& options = {});
 
+/// Read-only handle to a RelaySelector's stored selection, engaged when
+/// one is available. It reads like std::optional<RelaySelection> but
+/// copies nothing: the selection lives in the selector and is refilled in
+/// place by the next round.
+class RelaySelectionRef {
+ public:
+  RelaySelectionRef() = default;
+  explicit RelaySelectionRef(const RelaySelection* selection)
+      : selection_(selection) {}
+  bool has_value() const { return selection_ != nullptr; }
+  explicit operator bool() const { return has_value(); }
+  const RelaySelection& operator*() const { return *selection_; }
+  const RelaySelection* operator->() const { return selection_; }
+
+ private:
+  const RelaySelection* selection_ = nullptr;
+};
+
 /// Streaming wrapper that accumulates synchronized relay/error-mic audio
 /// and re-runs selection every `period_s` (the paper correlates
-/// periodically to track moving sources).
+/// periodically to track moving sources). Capture, transform and result
+/// storage are sized at construction: push() never allocates.
 class RelaySelector {
  public:
   RelaySelector(std::size_t relay_count, double sample_rate,
                 double period_s = 0.5, RelaySelectorOptions options = {});
 
   /// Push one synchronized sample per relay plus the error-mic sample.
-  /// Returns a fresh selection when a period completes, nullopt otherwise.
-  MUTE_RT_ESCAPE(
-      "selection capture: appends into reserve()d period buffers per tick "
-      "and runs a full GCC-PHAT selection round once per period_s; the "
-      "periodic round is amortized control-plane work the design knowingly "
-      "runs on the audio thread (DESIGN.md \u00a711)")
-  std::optional<RelaySelection> push(std::span<const Sample> relay_samples,
-                                     Sample error_mic_sample);
+  /// Returns the new selection when this sample completes a period, an
+  /// empty handle otherwise.
+  MUTE_RT_SAFE RelaySelectionRef push(std::span<const Sample> relay_samples,
+                                      Sample error_mic_sample);
 
   /// Most recent completed selection (empty before the first period).
-  const std::optional<RelaySelection>& current() const { return latest_; }
+  RelaySelectionRef current() const {
+    return RelaySelectionRef(has_selection_ ? &selection_ : nullptr);
+  }
 
-  std::size_t relay_count() const { return relays_.size(); }
+  std::size_t relay_count() const { return plan_.relay_count(); }
 
  private:
-  double fs_;
   std::size_t period_samples_;
   RelaySelectorOptions opts_;
-  std::vector<Signal> relays_;
-  Signal error_;
-  std::optional<RelaySelection> latest_;
+  GccPhatPlan plan_;
+  std::size_t filled_ = 0;
+  RelaySelection selection_;
+  bool has_selection_ = false;
 };
 
 }  // namespace mute::core

@@ -25,11 +25,13 @@ void bit_reverse_permute(std::span<Complex> data) {
 // Forward twiddle table for every stage length up to kMaxTwiddleFft,
 // shared by all transforms: tw[len / 2 + k] = exp(-2*pi*i * k / len) for
 // k in [0, len/2) (the inverse transform conjugates on the fly). Stage
-// slices never overlap — offsets 1, 2, 4, ... partition [1, n). Static
-// storage filled once under std::call_once: fft_inplace stays heap-
-// allocation-free and safe to call from the RT path; larger (control-
-// plane-sized) transforms fall back to the twiddle recurrence.
-constexpr std::size_t kMaxTwiddleFft = 8192;
+// slices never overlap — offsets 1, 2, 4, ... partition [1, n), and each
+// stage's values depend only on its own length. Static storage (1 MiB,
+// one per process) filled once under std::call_once: fft_inplace stays
+// heap-allocation-free and safe to call from the RT path. The table
+// covers the relay-selection sizes (GccPhatPlan, up to 2 s periods at
+// 16 kHz); longer offline transforms fall back to the twiddle recurrence.
+constexpr std::size_t kMaxTwiddleFft = 65536;
 std::array<double, 2 * kMaxTwiddleFft> g_twiddles;
 std::once_flag g_twiddles_once;
 

@@ -240,6 +240,85 @@ TEST(Fleet, SoakSmokeChurnWithFaultsKeepsEveryTenantNoLouder) {
   EXPECT_GT(checked, 0u);
 }
 
+// Regression for the selection-round arena leak: every GCC-PHAT round
+// used to allocate its transform buffers inside the tenant's monotonic
+// arena, which never reclaims a free, so a paper-default tenant exhausted
+// FleetConfig's default 4 MiB arena about 2.5 s into serving. Serves 20
+// simulated seconds at the default arena and returns, per tenant, its
+// arena_used just after the first selection round followed by its value
+// after each further round.
+std::vector<std::vector<std::size_t>> arena_used_per_round(
+    const DeviceSimConfig& cfg, std::size_t tenants) {
+  audio::WhiteNoiseSource noise(0.1, 5055);
+  FleetConfig fc;  // default arena_bytes
+  fc.workers = 1;
+  fc.max_tenants = tenants;
+  FleetRuntime fleet(fc);
+  const FleetProfile profile =
+      make_fleet_profile(noise, cfg, /*loop_steady_state=*/true);
+  const std::size_t pid = fleet.add_profile(profile);
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t s = 1; s <= tenants; ++s) {
+    ids.push_back(fleet.admit(pid, s));
+  }
+  const double fs = profile.streams.sample_rate;
+  const auto blocks = [&](double seconds) {
+    return static_cast<std::size_t>(
+        std::ceil(seconds * fs / static_cast<double>(fleet.block_samples())));
+  };
+  const double period_s = cfg.device.selection_period_s;
+  const double first_round_s = cfg.device.calibration_s + period_s + 0.05;
+  std::vector<std::vector<std::size_t>> used(tenants);
+  const auto snapshot = [&] {
+    for (std::size_t i = 0; i < tenants; ++i) {
+      EXPECT_TRUE(fleet.is_live(ids[i]));
+      used[i].push_back(fleet.stats(ids[i]).arena_used);
+    }
+  };
+  fleet.run_blocks(blocks(first_round_s));
+  snapshot();
+  for (double t = first_round_s; t + period_s <= 20.0; t += period_s) {
+    fleet.run_blocks(blocks(period_s));
+    snapshot();
+  }
+  for (const auto id : ids) {
+    EXPECT_GE(static_cast<double>(fleet.stats(id).samples), 19.0 * fs);
+  }
+  return used;
+}
+
+TEST(Fleet, PaperDefaultTenantsServeAtDefaultArenaWithoutGrowth) {
+  DeviceSimConfig cfg;  // paper-default device: one relay, 1 s rounds
+  cfg.duration_s = 6.0;
+  cfg.seed = 7;
+  cfg.use_rf_link = false;
+  for (const auto& used : arena_used_per_round(cfg, 2)) {
+    ASSERT_GE(used.size(), 11u);  // the first round plus >= 10 more
+    for (std::size_t r = 1; r < used.size(); ++r) {
+      EXPECT_EQ(used[r], used[0]) << "arena grew by round " << r;
+    }
+  }
+}
+
+TEST(Fleet, FourRelayTenantArenaSettlesAtDefaultArena) {
+  DeviceSimConfig cfg = quick_cfg(3.0);  // 0.5 s rounds
+  for (std::size_t k = 0; k < 4; ++k) {
+    cfg.relay_positions.push_back(
+        {2.0 + 0.2 * static_cast<double>(k), 2.5, 1.5});
+  }
+  const std::vector<std::size_t> used = arena_used_per_round(cfg, 1).front();
+  ASSERT_GE(used.size(), 30u);
+  // Selection rounds allocate nothing. What a multi-relay tenant still
+  // allocates is its first handoffs and shadow retargets warming up, in
+  // bounded steps: a filter-cache entry per relay it visits, and filter
+  // windows growing to the largest lookahead seen. The arena then stays
+  // flat for the rest of the run (>= 10 rounds).
+  EXPECT_LT(used.back() - used.front(), std::size_t{64} << 10);
+  for (std::size_t r = used.size() - 10; r < used.size(); ++r) {
+    EXPECT_EQ(used[r], used.back()) << "arena grew by round " << r;
+  }
+}
+
 TEST(FleetDeathTest, UndersizedArenaFailsLoudlyAtAdmission) {
   // Exhaustion inside the fleet is the arena's deterministic abort, not a
   // silent fallback: device construction overflows a tiny tenant arena.

@@ -44,6 +44,8 @@ PINNED = [
     "BM_AdaptiveFirStep/1024",
     "BM_ShadowObserve/704",
     "BM_FleetThroughput/8",
+    "BM_RelaySelectRound/1",
+    "BM_RelaySelectRound/4",
 ]
 
 

@@ -21,13 +21,19 @@
 #                 per-tenant never-louder verdicts plus the zero
 #                 worker-lane heap traffic contract of the fleet runtime;
 #                 writes fleet-soak-report.json (DESIGN.md §14)
+#   8. e2e-smoke : the fleet-serving benchmark (bench/e2e) on every
+#                 workload, small and traced — its correctness gates
+#                 (single-tenant bit identity, never louder, zero steady
+#                 allocations, exact ledger replay) and trace checks;
+#                 writes e2e-smoke-report.json (bench/e2e/README.md)
 #
 # `rt-lint` is also available standalone (subset of analyze): it re-runs
 # only the static RT-safety gate, seconds instead of a full tidy sweep.
 #
 # Usage: tools/ci.sh [plain|sanitize|tsan|analyze|rt-lint|perf|soak-smoke|
-#                     fleet-smoke]...
-#        (default: plain sanitize tsan analyze perf soak-smoke fleet-smoke)
+#                     fleet-smoke|e2e-smoke]...
+#        (default: plain sanitize tsan analyze perf soak-smoke fleet-smoke
+#         e2e-smoke)
 #
 # Every ctest run carries --timeout 900: a hung test (deadlock, runaway
 # convergence loop) fails after 15 minutes instead of wedging the job.
@@ -71,7 +77,7 @@ run_rt_lint() {
 
 # Filter shared with the perf-smoke workflow job: calibration + every
 # benchmark bench_gate.py pins (plus their other tap sizes, informational).
-BENCH_FILTER='BM_Calibration|BM_Kernel|BM_FirFilterPerSample|BM_FxlmsCycle|BM_FdLancBlock|BM_AdaptiveFirStep|BM_ShadowObserve|BM_FleetThroughput'
+BENCH_FILTER='BM_Calibration|BM_Kernel|BM_FirFilterPerSample|BM_FxlmsCycle|BM_FdLancBlock|BM_AdaptiveFirStep|BM_ShadowObserve|BM_FleetThroughput|BM_RelaySelectRound'
 
 run_perf() {
   echo "=== job: perf smoke (bench_gate) ==="
@@ -107,8 +113,16 @@ run_fleet_smoke() {
     --devices 64 --sim-seconds 3 --json fleet-soak-report.json
 }
 
+# The fleet-serving benchmark's own smoke mode (~35 s): builds bench/e2e
+# from source into .bench_build/e2e and exits non-zero when a correctness
+# gate or a trace check fails. The JSON result is the CI artifact.
+run_e2e_smoke() {
+  echo "=== job: e2e smoke (fleet-serving benchmark gates) ==="
+  python3 bench/e2e/run.py --smoke --out e2e-smoke-report.json
+}
+
 if [[ $# -eq 0 ]]; then
-  set -- plain sanitize tsan analyze perf soak-smoke fleet-smoke
+  set -- plain sanitize tsan analyze perf soak-smoke fleet-smoke e2e-smoke
 fi
 
 for job in "$@"; do
@@ -121,10 +135,11 @@ for job in "$@"; do
     perf) run_perf ;;
     soak-smoke) run_soak_smoke ;;
     fleet-smoke) run_fleet_smoke ;;
+    e2e-smoke) run_e2e_smoke ;;
     *)
       echo "unknown job: $job" \
         "(expected plain|sanitize|tsan|analyze|rt-lint|perf|soak-smoke|" \
-        "fleet-smoke)" >&2
+        "fleet-smoke|e2e-smoke)" >&2
       exit 2
       ;;
   esac

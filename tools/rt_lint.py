@@ -103,6 +103,8 @@ REQUIRED_ROOTS = [
     "mute::core::LancController::tick",
     "mute::core::LancController::observe_error",
     "mute::core::LinkMonitor::process",
+    "mute::core::RelaySelector::push",
+    "mute::core::GccPhatPlan::run",
     "mute::adaptive::FxlmsEngine::push_reference",
     "mute::adaptive::FxlmsEngine::compute_antinoise",
     "mute::adaptive::FxlmsEngine::adapt",
