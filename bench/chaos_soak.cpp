@@ -13,6 +13,12 @@
 //
 // Usage: chaos_soak [--relays N] [--duration S] [--seeds K]
 //                   [--json PATH] [--no-supervision]
+//
+// Exit codes: 0 every invariant held, 1 a violation, 2 usage error (an
+// unparsable or non-finite value, or zero seeds — a soak over no seeds
+// would hold every invariant vacuously).
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,6 +29,24 @@
 
 #include "sim/parallel_sweep.hpp"
 #include "sim/soak.hpp"
+
+namespace {
+
+// Parse the whole of `text` as a finite T, or exit 2 naming the flag.
+template <typename T>
+T parse_or_exit(const std::string& flag, const char* text) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end ||
+      !std::isfinite(static_cast<double>(value))) {
+    std::fprintf(stderr, "invalid value for %s: '%s'\n", flag.c_str(), text);
+    std::exit(2);
+  }
+  return value;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   std::size_t relays = 4;
@@ -40,11 +64,11 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--relays") {
-      relays = static_cast<std::size_t>(std::strtoul(next(), nullptr, 10));
+      relays = parse_or_exit<std::size_t>(arg, next());
     } else if (arg == "--duration") {
-      duration_s = std::strtod(next(), nullptr);
+      duration_s = parse_or_exit<double>(arg, next());
     } else if (arg == "--seeds") {
-      seeds = static_cast<std::size_t>(std::strtoul(next(), nullptr, 10));
+      seeds = parse_or_exit<std::size_t>(arg, next());
     } else if (arg == "--json") {
       json_path = next();
     } else if (arg == "--no-supervision") {
@@ -53,6 +77,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return 2;
     }
+  }
+  if (seeds == 0) {
+    std::fprintf(stderr, "--seeds must be at least 1\n");
+    return 2;
   }
 
   std::printf("chaos soak: %zu relays, %.1f s, %zu seeds, spectrum "

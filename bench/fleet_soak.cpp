@@ -34,8 +34,6 @@
 
 namespace {
 
-constexpr double kLouderMarginDb = 3.0;  // PR 2 soak margin
-
 // Mixed tenant population: two benign spectra plus a faulty profile whose
 // relay feed dies mid-stream (kRelayDropout) — the case the never-louder
 // invariant exists for.
@@ -201,7 +199,7 @@ int main(int argc, char** argv) {
     v.worst_excess_db = s.worst_excess_db;
     v.worst_excess_t_s = s.worst_excess_t_s;
     v.samples = s.samples;
-    v.passed = s.worst_excess_db <= kLouderMarginDb;
+    v.passed = s.worst_excess_db <= mute::sim::kNeverLouderMarginDb;
     verdicts.push_back(v);
   };
   for (const auto& s : fleet.completed()) judge(s);
@@ -214,7 +212,7 @@ int main(int argc, char** argv) {
   });
   const std::size_t shown = std::min<std::size_t>(verdicts.size(), 10);
   std::printf("worst %zu of %zu judged tenants (margin %+.1f dB):\n", shown,
-              verdicts.size(), kLouderMarginDb);
+              verdicts.size(), mute::sim::kNeverLouderMarginDb);
   for (std::size_t i = 0; i < shown; ++i) {
     const Verdict& v = verdicts[i];
     std::printf("tenant %-6llu %s profile %zu  worst_window %+6.2f dB @ "

@@ -18,10 +18,12 @@ namespace mute::adaptive {
 /// its budget ("a faster DSP will ease the problem", Section 5.2). FDAF
 /// computes the same NLMS-family update in O(log N) per sample with
 /// *per-bin* normalization, which also equalizes convergence across the
-/// deep notches of reverberant spectra. Used for fast secondary-path
-/// identification and exposed for experimentation; the runtime LANC loop
-/// keeps the transversal engine, whose per-sample latency model matches
-/// the hardware story.
+/// deep notches of reverberant spectra. Exposed for experimentation only:
+/// its users are bench/ablation_extensions, the BM_FdafBlock micro
+/// benchmark and the tests. Secondary-path identification
+/// (adaptive::identify_system) runs the transversal AdaptiveFir, and the
+/// runtime LANC loop keeps the transversal engine, whose per-sample
+/// latency model matches the hardware story.
 class BlockFdaf {
  public:
   struct Options {

@@ -16,7 +16,6 @@ FleetConfig validate(FleetConfig config) {
   ensure(config.batch_tenants > 0, "fleet batch must be non-empty");
   ensure(config.arena_bytes > 0, "fleet arenas must be non-empty");
   ensure(config.ramp_s >= 0.0, "fleet ramp must be non-negative");
-  ensure(config.window_s > 0.0, "fleet invariant window must be positive");
   return config;
 }
 
@@ -129,7 +128,7 @@ std::uint64_t FleetRuntime::admit(std::size_t profile_id, std::uint64_t seed,
     t.gain = 1.0;
   }
   t.win_len = std::max<std::size_t>(
-      1, static_cast<std::size_t>(config_.window_s * fs));
+      1, static_cast<std::size_t>(kNeverLouderWindowS * fs));
   t.win_skip_until =
       static_cast<std::size_t>(config_.invariant_grace_s * fs);
   t.capture = capture_residual;

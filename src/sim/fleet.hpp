@@ -64,9 +64,6 @@ struct FleetConfig {
   /// the anti-noise injection at the ear, Muter/Drainer-style, so admits
   /// and evictions never click.
   double ramp_s = 0.005;
-  /// Never-louder invariant window (PR 2 semantics): residual vs
-  /// disturbance energy compared per window of this many seconds.
-  double window_s = 0.25;
   /// Invariant grace period after admission: windows ending inside the
   /// first `invariant_grace_s` of a tenant's life are not scored. A
   /// cold-started NLMS transiently overshoots while it converges (a few

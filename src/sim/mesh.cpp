@@ -1,7 +1,6 @@
 #include "sim/mesh.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 
 #include "common/contracts.hpp"
@@ -13,10 +12,6 @@ namespace mute::sim {
 MeshSimResult run_mesh_simulation(audio::SoundSource& noise,
                                   const MeshSimConfig& config) {
   const DeviceSimConfig& dc = config.device_sim;
-  const double fs = dc.scene.sample_rate;
-  ensure(fs > 0, "scene sample rate must be positive");
-  const auto n = static_cast<std::size_t>(dc.duration_s * fs);
-  ensure(n > 4096, "run too short");
   ensure(config.control_block_s > 0, "control block must be positive");
   if (config.spectrum_supervision) {
     ensure(dc.use_rf_link, "spectrum supervision needs an RF link to retune");
@@ -24,48 +19,19 @@ MeshSimResult run_mesh_simulation(audio::SoundSource& noise,
            "spectrum supervision needs link monitors for adverse evidence");
   }
 
-  std::vector<acoustics::Point> relays = dc.relay_positions;
-  if (relays.empty()) relays.push_back(dc.scene.relay_mic);
-  const std::size_t relay_count = relays.size();
+  // --- 1. Acoustic streams, shared with run_device_simulation ----------
+  // RF is left to the mesh: its links must outlive a control block so the
+  // planner can retune them between blocks.
+  DeviceSimConfig acoustic = dc;
+  acoustic.use_rf_link = false;
+  DeviceStreams streams = prepare_device_streams(noise, acoustic);
+  const double fs = streams.sample_rate;
+  const std::size_t n = streams.d.size();
+  const std::size_t relay_count = streams.x.size();
+  std::vector<Signal>& x = streams.x;
+  Signal d_ac = std::move(streams.d);
 
-  // --- 1. Noise record with a quiet power-up lead-in (identical to
-  //        run_device_simulation so the supervision-off mesh run is
-  //        bit-identical to the whole-record device sim) ---------------
-  noise.reset();
-  Signal n_sig = noise.generate(n);
-  const auto quiet = std::min<std::size_t>(
-      n, static_cast<std::size_t>((dc.device.calibration_s + 0.1) * fs));
-  std::fill(n_sig.begin(),
-            n_sig.begin() + static_cast<std::ptrdiff_t>(quiet), 0.0f);
-
-  // --- 2. Acoustic paths: ear + one per relay --------------------------
-  const auto h_ne = acoustics::build_path(dc.scene, dc.scene.noise_source,
-                                          dc.scene.error_mic, "h_ne");
-  const auto h_se = acoustics::build_path(dc.scene, dc.scene.anti_speaker,
-                                          dc.scene.error_mic, "h_se");
-  Signal d_ac = h_ne.apply(n_sig);
-  std::vector<Signal> x(relay_count);
-  for (std::size_t k = 0; k < relay_count; ++k) {
-    const auto h_nr = acoustics::build_path(dc.scene, dc.scene.noise_source,
-                                            relays[k], "h_nr_k");
-    x[k] = h_nr.apply(n_sig);
-  }
-
-  const auto loud_rms = [&](const Signal& s) {
-    double acc = 0.0;
-    for (std::size_t i = quiet; i < n; ++i) {
-      acc += static_cast<double>(s[i]) * static_cast<double>(s[i]);
-    }
-    return n > quiet ? std::sqrt(acc / static_cast<double>(n - quiet)) : 0.0;
-  };
-  const auto scale_to = [&](Signal& s, double target_rms) {
-    const double g = target_rms / std::max(loud_rms(s), 1e-9);
-    for (auto& v : s) v = static_cast<Sample>(static_cast<double>(v) * g);
-  };
-  scale_to(d_ac, dc.disturbance_rms);
-  for (auto& xs : x) scale_to(xs, 0.1);
-
-  // --- 3. Persistent per-relay RF chains -------------------------------
+  // --- 2. Persistent per-relay RF chains -------------------------------
   // Unlike run_device_simulation (which RF-processes the whole record up
   // front), the links live for the whole run and stream per control block:
   // every stage is streaming-stateful, so block boundaries are invisible,
@@ -82,7 +48,7 @@ MeshSimResult run_mesh_simulation(audio::SoundSource& noise,
     }
   }
 
-  // --- 4. Spectrum planner ---------------------------------------------
+  // --- 3. Spectrum planner ---------------------------------------------
   std::optional<rf::SpectrumPlanner> planner;
   if (config.spectrum_supervision) {
     rf::SpectrumPlannerOptions popt = config.planner;
@@ -97,17 +63,11 @@ MeshSimResult run_mesh_simulation(audio::SoundSource& noise,
     }
   }
 
-  // --- 5. Device + anti-noise plant ------------------------------------
-  core::MuteDeviceConfig dev_cfg = dc.device;
-  dev_cfg.sample_rate = fs;
-  dev_cfg.relay_count = relay_count;
-  core::MuteDevice device(dev_cfg);
-  const auto hse_eff = detail::effective_secondary_ir(
-      h_se.impulse_response(), dev_cfg.latency.total_s() * fs);
-  mute::dsp::FirFilter hse_stream(hse_eff);
-
-  // --- 6. Block-streamed loop ------------------------------------------
+  // --- 4. Block-streamed loop ------------------------------------------
+  core::MuteDevice device(streams.device);
+  mute::dsp::FirFilter hse_stream(streams.hse_eff);
   MeshSimResult out;
+  out.allocation_tracking = RtAllocationGuard::interposition_enabled();
   SystemResult& result = out.system;
   result.sample_rate = fs;
   result.disturbance = d_ac;
@@ -116,34 +76,28 @@ MeshSimResult run_mesh_simulation(audio::SoundSource& noise,
   const auto block = std::max<std::size_t>(
       1, static_cast<std::size_t>(config.control_block_s * fs));
   Signal feed(relay_count, 0.0f);
-  std::vector<Signal> xb(relay_count);  // RF-processed current block
   Sample error = 0.0f;  // device consumes the PREVIOUS tick's ear field
-  const bool tally_alloc =
-      config.count_allocations && RtAllocationGuard::interposition_enabled();
-  out.allocation_tracking = tally_alloc;
 
   for (std::size_t start = 0; start < n; start += block) {
     const std::size_t len = std::min(block, n - start);
 
-    // RF-process this block through the persistent links.
-    for (std::size_t k = 0; k < relay_count; ++k) {
-      const std::span<const Sample> slice(x[k].data() + start, len);
-      if (dc.use_rf_link) {
-        xb[k] = links[k]->process(slice);
-      } else {
-        xb[k].assign(slice.begin(), slice.end());
-      }
+    // RF-process this block in place through the persistent links.
+    for (std::size_t k = 0; k < links.size(); ++k) {
+      const Signal rx = links[k]->process(
+          std::span<const Sample>(x[k].data() + start, len));
+      std::copy_n(rx.begin(), len,
+                  x[k].begin() + static_cast<std::ptrdiff_t>(start));
     }
 
     for (std::size_t t = 0; t < len; ++t) {
-      for (std::size_t k = 0; k < relay_count; ++k) feed[k] = xb[k][t];
+      for (std::size_t k = 0; k < relay_count; ++k) feed[k] = x[k][start + t];
       Sample y;
-      if (tally_alloc) {
+      {
+        // Only control events (selection rounds, handoffs) may allocate;
+        // the soak turns this tally into an invariant.
         RtAllocationGuard guard(RtAllocationGuard::Mode::kCount, "mesh-tick");
         y = device.tick(feed, error);
         if (guard.allocations_since_entry() > 0) ++out.allocating_ticks;
-      } else {
-        y = device.tick(feed, error);
       }
       ++out.total_ticks;
       const Sample anti = hse_stream.process(y);
@@ -189,29 +143,7 @@ MeshSimResult run_mesh_simulation(audio::SoundSource& noise,
   }
   result.ambient_at_ear = std::move(d_ac);
 
-  // --- 7. Diagnostics (mirrors run_device_simulation) -------------------
-  result.noncausal_taps = device.noncausal_taps();
-  result.calibration_error_db = device.calibration().final_error_db;
-  result.handoff_count = device.handoff_count();
-  result.shadow_handoff_count = device.shadow_handoff_count();
-  result.device_hold_count = device.hold_count();
-  result.reacquisition_gap_s = device.last_reacquisition_gap_s();
-  result.max_reacquisition_gap_s = device.max_reacquisition_gap_s();
-  result.relay_active_s.resize(relay_count);
-  for (std::size_t k = 0; k < relay_count; ++k) {
-    result.relay_active_s[k] = device.relay_active_s(k);
-    if (const auto* monitor = device.link_monitor(k)) {
-      result.link_fault_samples += monitor->unhealthy_samples();
-      result.link_fault_episodes += monitor->fault_episodes();
-      if (monitor->unhealthy_samples() > 0) {
-        result.link_fault_flags |= monitor->flags();
-      }
-    }
-  }
-  if (device.measured_lookahead_s() > 0.0) {
-    result.usable_lookahead_s = core::usable_lookahead_s(
-        device.measured_lookahead_s(), dev_cfg.latency);
-  }
+  detail::read_device_diagnostics(device, streams.device.latency, result);
   out.final_channels.resize(relay_count, 0);
   out.final_tx_gain_db.resize(relay_count, 0.0);
   for (std::size_t k = 0; k < links.size(); ++k) {

@@ -28,12 +28,6 @@ struct MeshSimConfig {
   /// Planner consult cadence; also the RF streaming block (16 ms default —
   /// control-plane latency, far below any fault hold timeout).
   double control_block_s = 0.016;
-
-  /// Tally device ticks that heap-allocate (RtAllocationGuard kCount per
-  /// tick). The soak harness turns the tally into an invariant: steady
-  /// state must be allocation-free, only control events (selection rounds,
-  /// handoffs, planner actions) may allocate.
-  bool count_allocations = false;
 };
 
 /// Mesh-run outcome: the device-sim result plus spectrum diagnostics.
@@ -46,8 +40,10 @@ struct MeshSimResult {
   std::vector<std::size_t> final_channels;   // per relay
   std::vector<double> final_tx_gain_db;      // per relay
 
-  // Allocation accounting (all zero unless count_allocations was set and
-  // the operator-new interposition is compiled in).
+  // Allocation accounting: every device tick runs under an
+  // RtAllocationGuard kCount, so allocating_ticks counts the ticks that
+  // heap-allocated. It stays zero when the operator-new interposition is
+  // compiled out, which allocation_tracking reports.
   std::uint64_t allocating_ticks = 0;
   std::uint64_t total_ticks = 0;
   bool allocation_tracking = false;  // interposition was actually active

@@ -1,10 +1,7 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <new>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "common/function_ref.hpp"
@@ -44,52 +41,20 @@ void parallel_for_index(std::size_t count, std::size_t workers,
 /// parallel_for_index and be safe to invoke concurrently from several
 /// threads (a lambda capturing only const/immutable state qualifies).
 ///
-/// Results are constructed in place in their final slot: each body
-/// move-assigns (default-constructible R) or placement-constructs
-/// (otherwise) directly into out[i] — no vector<optional<R>> staging
-/// buffer, no second pass of copies.
+/// Each body move-assigns its result straight into out[i] — no staging
+/// buffer, no second pass of copies — so R must be default-constructible
+/// and move-assignable.
 template <typename Fn>
 auto parallel_sweep(std::size_t count, Fn&& fn, std::size_t workers = 0)
     -> std::vector<std::invoke_result_t<Fn&, std::size_t>> {
   using R = std::invoke_result_t<Fn&, std::size_t>;
-  if constexpr (std::is_default_constructible_v<R> &&
-                std::is_move_assignable_v<R>) {
-    std::vector<R> out(count);
-    parallel_for_index(count, workers,
-                       [&](std::size_t i) { out[i] = fn(i); });
-    return out;
-  } else {
-    // Non-default-constructible R: placement-construct each result into a
-    // raw slot, then move the slots into the vector. Slots that were never
-    // constructed (a sweep abandoned after an exception) are tracked so
-    // only live ones are destroyed; the exception re-thrown by
-    // parallel_for_index unwinds through here.
-    struct Slots {
-      std::unique_ptr<std::byte[]> raw;
-      std::unique_ptr<unsigned char[]> live;
-      std::size_t n;
-      R* at(std::size_t i) {
-        return std::launder(reinterpret_cast<R*>(raw.get() + i * sizeof(R)));
-      }
-      ~Slots() {
-        for (std::size_t i = 0; i < n; ++i) {
-          if (live[i] != 0) at(i)->~R();
-        }
-      }
-    };
-    Slots slots{std::make_unique<std::byte[]>(count * sizeof(R)),
-                std::make_unique<unsigned char[]>(count), count};
-    static_assert(alignof(R) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
-                  "over-aligned sweep results are not supported");
-    parallel_for_index(count, workers, [&](std::size_t i) {
-      ::new (static_cast<void*>(slots.raw.get() + i * sizeof(R))) R(fn(i));
-      slots.live[i] = 1;
-    });
-    std::vector<R> out;
-    out.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) out.push_back(std::move(*slots.at(i)));
-    return out;
-  }
+  static_assert(std::is_default_constructible_v<R> &&
+                    std::is_move_assignable_v<R>,
+                "parallel_sweep results must be default-constructible and "
+                "move-assignable");
+  std::vector<R> out(count);
+  parallel_for_index(count, workers, [&](std::size_t i) { out[i] = fn(i); });
+  return out;
 }
 
 }  // namespace mute::sim

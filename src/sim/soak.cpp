@@ -19,6 +19,16 @@ constexpr double kCalibrationS = 1.0;
 constexpr double kChaosLeadS = 3.5;
 constexpr double kChaosTailS = 1.5;
 
+// Invariant bounds besides the shared never-louder window and margin.
+// Longest tolerated out-of-kRunning gap. Generous against the warm
+// (~0.33 s) path: chaos schedules can fault the standby mid-handoff.
+constexpr double kMaxGapBoundS = 1.0;
+// Steady state must be allocation-free: at most this fraction of device
+// ticks may heap-allocate (control events — selection rounds, handoffs —
+// are the only legitimate allocators). Checked only when the operator-new
+// interposition is compiled in.
+constexpr double kAllocTickFraction = 1e-3;
+
 const FaultScenario kSoakKinds[] = {
     FaultScenario::kRelayDropout, FaultScenario::kJammerBurst,
     FaultScenario::kDeepFade, FaultScenario::kImpulseNoise,
@@ -111,7 +121,6 @@ SoakReport run_chaos_soak(const SoakConfig& config) {
   dc.device.lanc.fxlms.mu = 0.3;
   dc.device.lanc.fxlms.leakage = 2e-4;
   mesh.spectrum_supervision = config.spectrum_supervision;
-  mesh.count_allocations = config.count_allocations;
 
   audio::WhiteNoiseSource noise(0.1, config.seed * 31 + 7);
   const MeshSimResult r = run_mesh_simulation(noise, mesh);
@@ -129,7 +138,7 @@ SoakReport run_chaos_soak(const SoakConfig& config) {
   const auto& dist = r.system.disturbance;
   const double fs = r.system.sample_rate;
   const auto win = std::max<std::size_t>(
-      1, static_cast<std::size_t>(config.window_s * fs));
+      1, static_cast<std::size_t>(kNeverLouderWindowS * fs));
   const auto first = static_cast<std::size_t>((kCalibrationS + 0.2) * fs);
   for (std::size_t i0 = first; i0 + win <= res.size(); i0 += win / 2) {
     double num = 0.0, den = 0.0;
@@ -143,12 +152,11 @@ SoakReport run_chaos_soak(const SoakConfig& config) {
       report.worst_window_t_s = static_cast<double>(i0) / fs;
     }
   }
-  report.never_louder =
-      report.worst_window_excess_db <= config.louder_margin_db;
+  report.never_louder = report.worst_window_excess_db <= kNeverLouderMarginDb;
 
   // Invariant 2: bounded re-acquisition.
   report.max_reacquisition_gap_s = r.system.max_reacquisition_gap_s;
-  report.gap_bounded = r.system.max_reacquisition_gap_s <= config.max_gap_bound_s;
+  report.gap_bounded = r.system.max_reacquisition_gap_s <= kMaxGapBoundS;
 
   // Invariant 3: allocation-free steady state (vacuous without the
   // operator-new interposition — reported as such, never silently green).
@@ -158,7 +166,7 @@ SoakReport run_chaos_soak(const SoakConfig& config) {
   if (r.allocation_tracking && r.total_ticks > 0) {
     report.allocation_clean =
         static_cast<double>(r.allocating_ticks) <=
-        config.alloc_tick_fraction * static_cast<double>(r.total_ticks);
+        kAllocTickFraction * static_cast<double>(r.total_ticks);
   }
 
   report.handoff_count = r.system.handoff_count;

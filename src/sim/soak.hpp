@@ -32,21 +32,6 @@ struct SoakConfig {
   /// qualified standby exists and "bounded re-acquisition" is a fair ask.
   std::size_t episode_count = 5;
   bool spectrum_supervision = true;
-  bool count_allocations = true;
-
-  // --- Invariant bounds -------------------------------------------------
-  /// Never louder than passive: every `window_s` residual window must stay
-  /// below the matching disturbance window + `louder_margin_db`.
-  double window_s = 0.25;
-  double louder_margin_db = 3.0;
-  /// Longest tolerated out-of-kRunning gap. Generous against the warm
-  /// (~0.33 s) path: chaos schedules can fault the standby mid-handoff.
-  double max_gap_bound_s = 1.0;
-  /// Steady state must be allocation-free: at most this fraction of device
-  /// ticks may heap-allocate (control events — selection rounds, handoffs —
-  /// are the only legitimate allocators). Checked only when the
-  /// operator-new interposition is compiled in.
-  double alloc_tick_fraction = 1e-3;
 };
 
 /// Outcome of one soak run, with per-invariant verdicts.

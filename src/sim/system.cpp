@@ -69,6 +69,34 @@ std::vector<double> effective_secondary_ir(
   return acoustics::cascade_ir(ir, frac, ir.size() + frac.size());
 }
 
+void read_device_diagnostics(const core::MuteDevice& device,
+                             const core::LatencyBudget& latency,
+                             SystemResult& result) {
+  const std::size_t relay_count = device.config().relay_count;
+  result.noncausal_taps = device.noncausal_taps();
+  result.calibration_error_db = device.calibration().final_error_db;
+  result.handoff_count = device.handoff_count();
+  result.shadow_handoff_count = device.shadow_handoff_count();
+  result.device_hold_count = device.hold_count();
+  result.reacquisition_gap_s = device.last_reacquisition_gap_s();
+  result.max_reacquisition_gap_s = device.max_reacquisition_gap_s();
+  result.relay_active_s.resize(relay_count);
+  for (std::size_t k = 0; k < relay_count; ++k) {
+    result.relay_active_s[k] = device.relay_active_s(k);
+    if (const auto* monitor = device.link_monitor(k)) {
+      result.link_fault_samples += monitor->unhealthy_samples();
+      result.link_fault_episodes += monitor->fault_episodes();
+      if (monitor->unhealthy_samples() > 0) {
+        result.link_fault_flags |= monitor->flags();
+      }
+    }
+  }
+  if (device.measured_lookahead_s() > 0.0) {
+    result.usable_lookahead_s =
+        core::usable_lookahead_s(device.measured_lookahead_s(), latency);
+  }
+}
+
 }  // namespace detail
 
 using detail::effective_secondary_ir;
@@ -531,29 +559,7 @@ SystemResult run_device_simulation(audio::SoundSource& noise,
   }
   result.ambient_at_ear = std::move(d_ac);
 
-  // --- 6. Diagnostics ---------------------------------------------------
-  result.noncausal_taps = device.noncausal_taps();
-  result.calibration_error_db = device.calibration().final_error_db;
-  result.handoff_count = device.handoff_count();
-  result.shadow_handoff_count = device.shadow_handoff_count();
-  result.device_hold_count = device.hold_count();
-  result.reacquisition_gap_s = device.last_reacquisition_gap_s();
-  result.max_reacquisition_gap_s = device.max_reacquisition_gap_s();
-  result.relay_active_s.resize(relay_count);
-  for (std::size_t k = 0; k < relay_count; ++k) {
-    result.relay_active_s[k] = device.relay_active_s(k);
-    if (const auto* monitor = device.link_monitor(k)) {
-      result.link_fault_samples += monitor->unhealthy_samples();
-      result.link_fault_episodes += monitor->fault_episodes();
-      if (monitor->unhealthy_samples() > 0) {
-        result.link_fault_flags |= monitor->flags();
-      }
-    }
-  }
-  if (device.measured_lookahead_s() > 0.0) {
-    result.usable_lookahead_s = core::usable_lookahead_s(
-        device.measured_lookahead_s(), streams.device.latency);
-  }
+  detail::read_device_diagnostics(device, streams.device.latency, result);
   return result;
 }
 

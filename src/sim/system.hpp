@@ -182,6 +182,12 @@ struct SystemResult {
   std::vector<double> relay_active_s;   // kRunning seconds per relay
 };
 
+/// The never-louder-than-passive contract, shared by the chaos soak and
+/// the fleet: the residual's energy over a kNeverLouderWindowS window must
+/// stay within kNeverLouderMarginDb of the disturbance's over that window.
+inline constexpr double kNeverLouderWindowS = 0.25;
+inline constexpr double kNeverLouderMarginDb = 3.0;
+
 /// Run a complete ANC simulation: synthesize room channels, calibrate the
 /// secondary path, stream the noise through relay/link/LANC/speaker, and
 /// record disturbance + residual at the error microphone.
@@ -232,9 +238,10 @@ struct DeviceSimConfig {
 /// and `relay_count` resolved.
 ///
 /// Factored out of run_device_simulation so the fleet runtime
-/// (sim/fleet.hpp) builds its tenant profiles through the *same* code
-/// path — one implementation is what makes a single-tenant fleet
-/// bit-identical to run_device_simulation.
+/// (sim/fleet.hpp) and the mesh (sim/mesh.hpp, with the RF link off — it
+/// streams its own links) build their inputs through the *same* code
+/// path — one implementation is what makes a single-tenant fleet and a
+/// supervision-off mesh bit-identical to run_device_simulation.
 struct DeviceStreams {
   std::vector<Signal> x;        // per-relay reference, post RF chain
   Signal d;                     // disturbance at the ear (lead-in muted)
@@ -268,6 +275,15 @@ namespace detail {
 /// identical plant.
 std::vector<double> effective_secondary_ir(const std::vector<double>& h_se,
                                            double budget_samples);
+
+/// Copy a finished device's diagnostics into `result`: noncausal taps,
+/// calibration error, handoff/shadow-handoff/hold counts, re-acquisition
+/// gaps, per-relay active time, link-monitor fault tallies and the usable
+/// lookahead left after `latency`. Shared by the device and mesh
+/// simulations so both report the same fields the same way.
+void read_device_diagnostics(const core::MuteDevice& device,
+                             const core::LatencyBudget& latency,
+                             SystemResult& result);
 }  // namespace detail
 
 }  // namespace mute::sim

@@ -226,12 +226,11 @@ TEST(Fleet, SoakSmokeChurnWithFaultsKeepsEveryTenantNoLouder) {
   }
   fleet.run_blocks(32);
 
-  constexpr double kLouderMarginDb = 3.0;
   std::size_t checked = 0;
   const auto check = [&](const TenantStats& s) {
     if (s.windows == 0) return;  // evicted before any audible window
     ++checked;
-    EXPECT_LE(s.worst_excess_db, kLouderMarginDb)
+    EXPECT_LE(s.worst_excess_db, kNeverLouderMarginDb)
         << "tenant " << s.id << " louder than passive at t="
         << s.worst_excess_t_s << "s";
   };

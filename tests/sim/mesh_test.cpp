@@ -165,7 +165,7 @@ TEST(MeshSim, HoppingDodgesAChannelPinnedJammerWithoutAHandoff) {
   EXPECT_LT(window_db(r, kDuration - 1.0, kDuration), pre_db + 3.0);
 
   // And the ear was never meaningfully louder than passive meanwhile.
-  // +3 dB margin (the soak harness's louder_margin_db): a jammer capture
+  // +3 dB margin (kNeverLouderMarginDb, the soak's margin): a jammer capture
   // feeds the filter demod garbage for the few ms of detection lag, a
   // transient a dropout does not have, so the +1 dB dropout bound is too
   // tight for the onset window.
@@ -173,6 +173,41 @@ TEST(MeshSim, HoppingDodgesAChannelPinnedJammerWithoutAHandoff) {
     EXPECT_LT(window_db(r, t, t + 0.25), 3.0)
         << "louder than passive in window starting at t=" << t;
   }
+}
+
+TEST(MeshSim, FailoverDiagnosticsMatchTheDeviceSim) {
+  // Supervision off, link supervision on, relay 0's feed dies mid-run: the
+  // mesh must report every device diagnostic exactly as the device sim does,
+  // so the scenario has to exercise the failover and link-fault tallies.
+  DeviceSimConfig cfg = two_relay_config();
+  cfg.duration_s = 6.0;
+  cfg.device.link_supervision = true;
+  cfg.relay_faults = {
+      make_fault_schedule(FaultScenario::kRelayDropout, 3.0, 2.0)};
+
+  audio::WhiteNoiseSource noise_a(0.1, 1011);
+  const SystemResult device = run_device_simulation(noise_a, cfg);
+
+  MeshSimConfig mesh;
+  mesh.device_sim = cfg;
+  mesh.spectrum_supervision = false;
+  audio::WhiteNoiseSource noise_b(0.1, 1011);
+  const SystemResult m = run_mesh_simulation(noise_b, mesh).system;
+
+  ASSERT_GE(device.handoff_count, 1u) << "the dropout never forced a handoff";
+  ASSERT_GE(device.link_fault_episodes, 1u) << "the dropout was never flagged";
+  EXPECT_EQ(m.noncausal_taps, device.noncausal_taps);
+  EXPECT_EQ(m.calibration_error_db, device.calibration_error_db);
+  EXPECT_EQ(m.handoff_count, device.handoff_count);
+  EXPECT_EQ(m.shadow_handoff_count, device.shadow_handoff_count);
+  EXPECT_EQ(m.device_hold_count, device.device_hold_count);
+  EXPECT_EQ(m.reacquisition_gap_s, device.reacquisition_gap_s);
+  EXPECT_EQ(m.max_reacquisition_gap_s, device.max_reacquisition_gap_s);
+  EXPECT_EQ(m.relay_active_s, device.relay_active_s);
+  EXPECT_EQ(m.link_fault_samples, device.link_fault_samples);
+  EXPECT_EQ(m.link_fault_episodes, device.link_fault_episodes);
+  EXPECT_EQ(m.link_fault_flags, device.link_fault_flags);
+  EXPECT_EQ(m.usable_lookahead_s, device.usable_lookahead_s);
 }
 
 TEST(MeshSim, SupervisionRequiresItsEvidenceSources) {

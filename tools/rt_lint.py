@@ -8,21 +8,13 @@ This turns the RT contract that RtAllocationGuard enforces dynamically (on
 whatever paths the tests happen to exercise) into a whole-call-graph
 property checked on every CI run (DESIGN.md §11).
 
-Two modes, mirroring tools/run_static_analysis.sh:
-
-  clang  — libclang (python `clang.cindex`) over the compilation database:
-           precise AST call graph, annotations read from
-           [[clang::annotate]] attributes, overloads resolved exactly.
-  regex  — pure-Python fallback for toolchains without libclang: a
-           length-preserving comment/string stripper, a scope-tracking
-           function extractor, and name-based call resolution. Ambiguous
-           member calls traverse only RT-annotated candidates (the
-           precision limit of this mode; the ambiguity is listed in the
-           report so it is visible, and the libclang mode closes it).
-
-Both modes share the deny-list, the traversal, the allow-list and the
-report format, and both exit non-zero on any violation, so
-`rt_lint.py && ...` is a valid gate either way.
+The analyzer is pure Python and needs no compiler front end: a
+length-preserving comment/string stripper, a scope-tracking function
+extractor, and name-based call resolution. Overloads of one qualified name
+merge, and ambiguous member calls traverse only RT-annotated candidates
+(the precision limit of a textual call graph; each ambiguity is listed in
+the report so it is visible). It exits non-zero on any violation, so
+`rt_lint.py && ...` is a valid gate.
 
 Deny-list (construct ids as they appear in reports / the allow-list):
 
@@ -49,9 +41,9 @@ Escape hatches, in order of preference:
      justification fail the run.
 
 Usage:
-  rt_lint.py [--mode auto|clang|regex] [--src DIR ...] [--compdb FILE]
-             [--allow FILE] [--report FILE] [--no-require-roots]
-             [--strict-allow] [--verbose]
+  rt_lint.py [--src DIR ...] [--file FILE ...] [--allow FILE]
+             [--report FILE] [--no-require-roots] [--strict-allow]
+             [--verbose]
 
 Exit codes: 0 clean, 1 violations / missing roots / bad allow-list,
 2 usage or environment error.
@@ -69,8 +61,7 @@ from collections import deque
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # --------------------------------------------------------------------------
-# Deny-list. Patterns run over comment/string-stripped function bodies in
-# regex mode; the clang mode maps AST nodes onto the same construct ids.
+# Deny-list. Patterns run over comment/string-stripped function bodies.
 # --------------------------------------------------------------------------
 
 BANNED = [
@@ -152,7 +143,7 @@ CONTROL_KEYWORDS = {
 
 
 # --------------------------------------------------------------------------
-# Source model shared by both modes.
+# Source model.
 # --------------------------------------------------------------------------
 
 class Fn:
@@ -198,7 +189,7 @@ class Model:
 
 
 # --------------------------------------------------------------------------
-# Regex mode: length-preserving stripper + scope-tracking extractor.
+# Length-preserving stripper + scope-tracking extractor.
 # --------------------------------------------------------------------------
 
 def strip_code(text):
@@ -445,7 +436,7 @@ def body_calls(body):
     return calls
 
 
-def build_model_regex(src_dirs, extra_files):
+def build_model(src_dirs, extra_files):
     model = Model()
     files = list(extra_files)
     for d in src_dirs:
@@ -457,130 +448,6 @@ def build_model_regex(src_dirs, extra_files):
         with open(path, encoding="utf-8", errors="replace") as fh:
             scan_source(model, path, fh.read())
     return model
-
-
-# --------------------------------------------------------------------------
-# clang mode: same model built from libclang cursors.
-# --------------------------------------------------------------------------
-
-def build_model_clang(compdb_path, src_dirs, extra_files):
-    import clang.cindex as ci   # noqa: import guarded by caller
-
-    index = ci.Index.create()
-    model = Model()
-    roots = [os.path.abspath(d) for d in src_dirs]
-
-    def in_scope(path):
-        ap = os.path.abspath(path)
-        return any(ap.startswith(r + os.sep) or ap == r for r in roots) or \
-            ap in {os.path.abspath(f) for f in extra_files}
-
-    def qname_of(cursor):
-        parts = []
-        c = cursor
-        while c is not None and c.kind != ci.CursorKind.TRANSLATION_UNIT:
-            if c.spelling:
-                parts.append(c.spelling)
-            c = c.semantic_parent
-        return "::".join(reversed(parts))
-
-    entries = []
-    if compdb_path and os.path.exists(compdb_path):
-        db = ci.CompilationDatabase.fromDirectory(
-            os.path.dirname(os.path.abspath(compdb_path)))
-        for cmd in db.getAllCompileCommands():
-            if in_scope(cmd.filename):
-                args = [a for a in list(cmd.arguments)[1:]
-                        if a not in ("-c", cmd.filename)]
-                entries.append((cmd.filename, args))
-    else:
-        inc = ["-I" + os.path.join(REPO, "src"), "-std=c++20"]
-        for f in extra_files:
-            entries.append((f, inc))
-        for d in src_dirs:
-            for root, _dirs, names in os.walk(d):
-                for nm in sorted(names):
-                    if nm.endswith(".cpp"):
-                        entries.append((os.path.join(root, nm), inc))
-
-    FN_KINDS = {ci.CursorKind.FUNCTION_DECL, ci.CursorKind.CXX_METHOD,
-                ci.CursorKind.CONSTRUCTOR, ci.CursorKind.DESTRUCTOR,
-                ci.CursorKind.FUNCTION_TEMPLATE}
-    edges = {}
-
-    def visit_fn(cursor, tu_file):
-        qname = qname_of(cursor)
-        simple = cursor.spelling
-        fn = model.get(qname, simple, os.path.relpath(tu_file, REPO),
-                       cursor.location.line)
-        for ch in cursor.get_children():
-            if ch.kind == ci.CursorKind.ANNOTATE_ATTR:
-                sp = ch.spelling or ""
-                if sp == "mute::rt_safe":
-                    fn.annotations.add("safe")
-                elif sp == "mute::rt_unsafe":
-                    fn.annotations.add("unsafe")
-                elif sp.startswith("mute::rt_escape:"):
-                    fn.annotations.add("escape")
-                    fn.escape_reason = sp.split(":", 2)[-1]
-        if not cursor.is_definition():
-            return
-        hits, calls = [], set()
-
-        def walk(c):
-            k = c.kind
-            if k == ci.CursorKind.CXX_NEW_EXPR:
-                hits.append(("operator-new", c.location.line, "new"))
-            elif k == ci.CursorKind.CXX_THROW_EXPR:
-                hits.append(("throw", c.location.line, "throw"))
-            elif k == ci.CursorKind.CALL_EXPR and c.referenced is not None:
-                ref = c.referenced
-                rq = qname_of(ref)
-                rs = ref.spelling
-                if rs in ("malloc", "calloc", "realloc", "aligned_alloc",
-                          "posix_memalign", "strdup"):
-                    hits.append(("malloc-family", c.location.line, rs))
-                elif rs == "free":
-                    hits.append(("free", c.location.line, rs))
-                elif rq == "std::rotate":
-                    hits.append(("std-rotate", c.location.line, rq))
-                elif rs in ("lock", "unlock", "try_lock") and \
-                        "mutex" in rq:
-                    hits.append(("lock", c.location.line, rq))
-                elif rs in ("push_back", "emplace_back", "push_front",
-                            "emplace_front", "resize", "reserve", "insert",
-                            "emplace", "assign", "append",
-                            "shrink_to_fit") and rq.startswith("std::"):
-                    hits.append(("container-growth", c.location.line, rq))
-                elif rq.startswith(("std::basic_ostream", "std::basic_istream",
-                                    "std::basic_fstream")):
-                    hits.append(("blocking-io", c.location.line, rq))
-                elif not rq.startswith("std::"):
-                    calls.add((rq, False))
-            for sub in c.get_children():
-                walk(sub)
-
-        for ch in cursor.get_children():
-            walk(ch)
-        fn.bodies.append(("", os.path.relpath(tu_file, REPO),
-                          cursor.location.line))
-        node = edges.setdefault(qname, {"hits": [], "calls": set()})
-        node["hits"].extend(hits)
-        node["calls"] |= calls
-
-    def visit(cursor, tu_file):
-        for ch in cursor.get_children():
-            loc = ch.location.file
-            if loc is not None and not in_scope(loc.name):
-                continue
-            if ch.kind in FN_KINDS:
-                visit_fn(ch, loc.name if loc else tu_file)
-            visit(ch, tu_file)
-
-    for fname, args in entries:
-        tu = index.parse(fname, args=args)
-        visit(tu.cursor, fname)
-    return model, edges
 
 
 # --------------------------------------------------------------------------
@@ -622,10 +489,10 @@ def allowed(entries, qname, construct):
 
 
 # --------------------------------------------------------------------------
-# Traversal (shared by both modes).
+# Traversal.
 # --------------------------------------------------------------------------
 
-def traverse(model, allow_entries, edges=None, verbose=False):
+def traverse(model, allow_entries, verbose=False):
     roots = sorted(q for q, fn in model.fns.items()
                    if "safe" in fn.annotations)
     violations, escapes, ambiguous = [], [], []
@@ -634,7 +501,7 @@ def traverse(model, allow_entries, edges=None, verbose=False):
     order = []
     reached_via = {}    # qname -> first caller that enqueued it
 
-    def scan_regex_bodies(fn):
+    def scan_bodies(fn):
         for body, file, line0 in fn.bodies:
             for construct, pattern in BANNED:
                 for m in re.finditer(pattern, body):
@@ -647,17 +514,6 @@ def traverse(model, allow_entries, edges=None, verbose=False):
                         "file": file, "line": line,
                         "detail": " ".join(snippet.split()),
                     })
-
-    def scan_clang_hits(fn):
-        node = edges.get(fn.qname, {"hits": [], "calls": set()})
-        for construct, line, detail in node["hits"]:
-            if allowed(allow_entries, fn.qname, construct):
-                continue
-            violations.append({
-                "function": fn.qname, "construct": construct,
-                "file": fn.file, "line": line, "detail": detail,
-            })
-        return node["calls"]
 
     while work:
         qname = work.popleft()
@@ -675,13 +531,10 @@ def traverse(model, allow_entries, edges=None, verbose=False):
             })
             continue
 
-        if edges is not None:
-            calls = scan_clang_hits(fn)
-        else:
-            scan_regex_bodies(fn)
-            calls = set()
-            for body, _file, _line in fn.bodies:
-                calls |= body_calls(body)
+        scan_bodies(fn)
+        calls = set()
+        for body, _file, _line in fn.bodies:
+            calls |= body_calls(body)
 
         for name, _is_member in sorted(calls):
             targets = model.resolve(name)
@@ -719,16 +572,10 @@ def traverse(model, allow_entries, edges=None, verbose=False):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--mode", choices=["auto", "clang", "regex"],
-                    default="auto")
     ap.add_argument("--src", action="append", default=[],
                     help="source dir to scan (default: <repo>/src)")
     ap.add_argument("--file", action="append", default=[],
                     help="additional individual source file to scan")
-    ap.add_argument("--compdb",
-                    default=os.path.join(REPO, "build-tidy",
-                                         "compile_commands.json"),
-                    help="compilation database for clang mode")
     ap.add_argument("--allow",
                     default=os.path.join(REPO, "tools", "rt_lint_allow.txt"),
                     help="allow-list file ('' disables)")
@@ -747,24 +594,7 @@ def main():
             print(f"rt-lint: source dir not found: {d}", file=sys.stderr)
             return 2
 
-    mode = args.mode
-    edges = None
-    if mode in ("auto", "clang"):
-        try:
-            import clang.cindex  # noqa: F401
-            model, edges = build_model_clang(args.compdb, src_dirs,
-                                             args.file)
-            mode = "clang"
-        except Exception as exc:  # libclang missing or parse failure
-            if args.mode == "clang":
-                print(f"rt-lint: clang mode unavailable: {exc}",
-                      file=sys.stderr)
-                return 2
-            print(f"rt-lint: libclang unavailable ({exc.__class__.__name__});"
-                  " falling back to regex mode")
-            mode = "regex"
-    if mode == "regex":
-        model = build_model_regex(src_dirs, args.file)
+    model = build_model(src_dirs, args.file)
 
     allow_entries, allow_errors = load_allowlist(args.allow)
 
@@ -780,7 +610,7 @@ def main():
                                       "why": "not annotated MUTE_RT_SAFE"})
 
     roots, order, violations, escapes, ambiguous, reached_via = traverse(
-        model, allow_entries, edges=edges, verbose=args.verbose)
+        model, allow_entries, verbose=args.verbose)
     for v in violations:
         chain, hop = [], v["function"]
         while hop in reached_via and len(chain) < 16:
@@ -790,7 +620,6 @@ def main():
 
     unused_allow = [e for e in allow_entries if not e["used"]]
     report = {
-        "mode": mode,
         "functions_indexed": len(model.fns),
         "roots": roots,
         "reachable_count": len(order),
@@ -811,7 +640,7 @@ def main():
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
 
-    print(f"rt-lint [{mode}]: {len(model.fns)} functions indexed, "
+    print(f"rt-lint: {len(model.fns)} functions indexed, "
           f"{len(roots)} RT roots, {len(order)} reachable, "
           f"{len(escapes)} escapes, {len(violations)} violations")
     for e in escapes:

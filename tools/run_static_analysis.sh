@@ -88,7 +88,6 @@ fi
 if [[ "$RUN_RT_LINT" == 1 ]]; then
   echo "== rt-lint (static RT-safety gate, DESIGN.md §11) =="
   python3 "$ROOT/tools/rt_lint.py" \
-    --compdb "$BUILD_DIR/compile_commands.json" \
     --report "$BUILD_DIR/rt_lint_report.json"
 fi
 
