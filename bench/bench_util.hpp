@@ -1,8 +1,13 @@
 #pragma once
 
-// Shared plumbing for the figure-regeneration binaries: run a scheme,
-// compute its cancellation spectrum, and print paper-style series.
+// Shared plumbing for the bench binaries: strict command-line value
+// parsing, and for the figure-regeneration binaries, running a scheme,
+// computing its cancellation spectrum, and printing paper-style series.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <iostream>
 #include <string>
@@ -14,6 +19,32 @@
 #include "sim/system.hpp"
 
 namespace mute::bench {
+
+/// Parse the whole of `text` as a finite T, or exit 2 (the usage-error
+/// status of every bench CLI) naming the flag.
+template <typename T>
+T parse_or_exit(const std::string& flag, const char* text) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end ||
+      !std::isfinite(static_cast<double>(value))) {
+    std::fprintf(stderr, "invalid value for %s: '%s'\n", flag.c_str(), text);
+    std::exit(2);
+  }
+  return value;
+}
+
+/// parse_or_exit for counts and durations, which must be positive.
+template <typename T>
+T parse_positive_or_exit(const std::string& flag, const char* text) {
+  const T value = parse_or_exit<T>(flag, text);
+  if (!(value > T{})) {
+    std::fprintf(stderr, "%s must be positive: '%s'\n", flag.c_str(), text);
+    std::exit(2);
+  }
+  return value;
+}
 
 struct SchemeRun {
   sim::SystemResult result;

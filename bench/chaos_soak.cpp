@@ -14,41 +14,26 @@
 // Usage: chaos_soak [--relays N] [--duration S] [--seeds K]
 //                   [--json PATH] [--no-supervision]
 //
-// Exit codes: 0 every invariant held, 1 a violation, 2 usage error (an
-// unparsable or non-finite value, or zero seeds — a soak over no seeds
-// would hold every invariant vacuously).
-#include <charconv>
-#include <cmath>
+// Exit codes: 0 every invariant held, 1 a violation, 2 usage error: an
+// unparsable, non-finite or non-positive value (zero seeds included — a
+// soak over no seeds would hold every invariant vacuously), or a
+// configuration the soak rejects (fewer than 2 or more than 8 relays, a
+// duration too short for a chaos window).
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
+#include "common/error.hpp"
 #include "sim/parallel_sweep.hpp"
 #include "sim/soak.hpp"
 
-namespace {
+using mute::bench::parse_positive_or_exit;
 
-// Parse the whole of `text` as a finite T, or exit 2 naming the flag.
-template <typename T>
-T parse_or_exit(const std::string& flag, const char* text) {
-  T value{};
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc{} || ptr != end ||
-      !std::isfinite(static_cast<double>(value))) {
-    std::fprintf(stderr, "invalid value for %s: '%s'\n", flag.c_str(), text);
-    std::exit(2);
-  }
-  return value;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   std::size_t relays = 4;
   double duration_s = 12.0;
   std::size_t seeds = 4;
@@ -64,11 +49,11 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--relays") {
-      relays = parse_or_exit<std::size_t>(arg, next());
+      relays = parse_positive_or_exit<std::size_t>(arg, next());
     } else if (arg == "--duration") {
-      duration_s = parse_or_exit<double>(arg, next());
+      duration_s = parse_positive_or_exit<double>(arg, next());
     } else if (arg == "--seeds") {
-      seeds = parse_or_exit<std::size_t>(arg, next());
+      seeds = parse_positive_or_exit<std::size_t>(arg, next());
     } else if (arg == "--json") {
       json_path = next();
     } else if (arg == "--no-supervision") {
@@ -77,10 +62,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return 2;
     }
-  }
-  if (seeds == 0) {
-    std::fprintf(stderr, "--seeds must be at least 1\n");
-    return 2;
   }
 
   std::printf("chaos soak: %zu relays, %.1f s, %zu seeds, spectrum "
@@ -126,4 +107,7 @@ int main(int argc, char** argv) {
   std::printf("\n%s\n", all_passed ? "ALL INVARIANTS HELD"
                                    : "INVARIANT VIOLATION");
   return all_passed ? 0 : 1;
+} catch (const mute::PreconditionError& e) {
+  std::fprintf(stderr, "rejected configuration: %s\n", e.what());
+  return 2;
 }

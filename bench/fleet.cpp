@@ -21,6 +21,9 @@
 // Usage: fleet [--max-devices N] [--workers W] [--sim-seconds S]
 //              [--arena-mb M] [--block SAMPLES] [--skip-naive] [--json PATH]
 //
+// Exits 2 on a usage error: an unparsable, non-finite or non-positive
+// value, or a configuration the fleet runtime rejects.
+//
 // --block sets the scheduling quantum. Throughput runs want a large one
 // (default 2048 here, 128 ms): each tenant switch streams the tenant's
 // filter state back through the cache hierarchy, so tiny quanta pay that
@@ -41,6 +44,8 @@
 #include <vector>
 
 #include "audio/generators.hpp"
+#include "bench_util.hpp"
+#include "common/error.hpp"
 #include "core/mute_device.hpp"
 #include "dsp/fir_filter.hpp"
 #include "sim/fleet.hpp"
@@ -215,7 +220,9 @@ double capacity_estimate(const std::vector<Row>& rows, const char* mode) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
+  using mute::bench::parse_or_exit;
+  using mute::bench::parse_positive_or_exit;
   std::size_t max_devices = 512;
   std::size_t workers = 0;  // 0 = default_sweep_workers (hardware)
   double sim_s = 0.5;
@@ -233,16 +240,15 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--max-devices") {
-      max_devices = static_cast<std::size_t>(std::strtoul(next(), nullptr, 10));
+      max_devices = parse_positive_or_exit<std::size_t>(arg, next());
     } else if (arg == "--workers") {
-      workers = static_cast<std::size_t>(std::strtoul(next(), nullptr, 10));
+      workers = parse_or_exit<std::size_t>(arg, next());
     } else if (arg == "--sim-seconds") {
-      sim_s = std::strtod(next(), nullptr);
+      sim_s = parse_positive_or_exit<double>(arg, next());
     } else if (arg == "--arena-mb") {
-      arena_mb = static_cast<std::size_t>(std::strtoul(next(), nullptr, 10));
+      arena_mb = parse_positive_or_exit<std::size_t>(arg, next());
     } else if (arg == "--block") {
-      block_samples =
-          static_cast<std::size_t>(std::strtoul(next(), nullptr, 10));
+      block_samples = parse_positive_or_exit<std::size_t>(arg, next());
     } else if (arg == "--skip-naive") {
       run_naive = false;
     } else if (arg == "--json") {
@@ -332,4 +338,7 @@ int main(int argc, char** argv) {
     std::printf("\nwrote %s\n", json_path.c_str());
   }
   return 0;
+} catch (const mute::PreconditionError& e) {
+  std::fprintf(stderr, "rejected configuration: %s\n", e.what());
+  return 2;
 }

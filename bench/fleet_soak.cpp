@@ -16,6 +16,10 @@
 // Usage: fleet_soak [--devices N] [--sim-seconds S] [--workers W]
 //                   [--churn-blocks B] [--seed K] [--arena-mb M]
 //                   [--json PATH]
+//
+// Exit codes: 0 every invariant held, 1 a violation, 2 usage error (an
+// unparsable, non-finite or non-positive value, or a configuration the
+// fleet runtime rejects).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -26,7 +30,9 @@
 #include <vector>
 
 #include "audio/generators.hpp"
+#include "bench_util.hpp"
 #include "common/contracts.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sim/fleet.hpp"
 #include "sim/scenarios.hpp"
@@ -96,7 +102,9 @@ struct Verdict {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
+  using mute::bench::parse_or_exit;
+  using mute::bench::parse_positive_or_exit;
   std::size_t devices = 1024;
   double sim_s = 4.0;
   std::size_t workers = 0;  // 0 = default_sweep_workers
@@ -114,17 +122,17 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--devices") {
-      devices = static_cast<std::size_t>(std::strtoul(next(), nullptr, 10));
+      devices = parse_positive_or_exit<std::size_t>(arg, next());
     } else if (arg == "--sim-seconds") {
-      sim_s = std::strtod(next(), nullptr);
+      sim_s = parse_positive_or_exit<double>(arg, next());
     } else if (arg == "--workers") {
-      workers = static_cast<std::size_t>(std::strtoul(next(), nullptr, 10));
+      workers = parse_or_exit<std::size_t>(arg, next());
     } else if (arg == "--churn-blocks") {
-      churn_blocks = static_cast<std::size_t>(std::strtoul(next(), nullptr, 10));
+      churn_blocks = parse_positive_or_exit<std::size_t>(arg, next());
     } else if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      seed = parse_or_exit<std::uint64_t>(arg, next());
     } else if (arg == "--arena-mb") {
-      arena_mb = static_cast<std::size_t>(std::strtoul(next(), nullptr, 10));
+      arena_mb = parse_positive_or_exit<std::size_t>(arg, next());
     } else if (arg == "--json") {
       json_path = next();
     } else {
@@ -260,4 +268,7 @@ int main(int argc, char** argv) {
               verdicts.size() - failed, verdicts.size(),
               heap_clean ? "" : ", heap dirty");
   return all_passed ? 0 : 1;
+} catch (const mute::PreconditionError& e) {
+  std::fprintf(stderr, "rejected configuration: %s\n", e.what());
+  return 2;
 }

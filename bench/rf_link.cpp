@@ -11,7 +11,6 @@
 #include "dsp/spectral.hpp"
 #include "eval/report.hpp"
 #include "rf/fm.hpp"
-#include "rf/oscillator.hpp"
 #include "rf/relay.hpp"
 #include "rf/rf_channel.hpp"
 

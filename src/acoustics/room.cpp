@@ -10,17 +10,6 @@ namespace mute::acoustics {
 
 Room Room::office() { return Room{}; }
 
-Room Room::hall() {
-  Room r;
-  r.lx = 20.0;
-  r.ly = 15.0;
-  r.lz = 6.0;
-  r.reflection_x = r.reflection_y = 0.85;
-  r.reflection_z = 0.8;
-  r.max_order = 5;
-  return r;
-}
-
 Room Room::anechoic() {
   Room r;
   r.reflection_x = r.reflection_y = r.reflection_z = 0.02;
@@ -86,27 +75,12 @@ std::vector<double> image_source_rir(const Room& room, Point source,
             std::pow(room.reflection_x, std::abs(nx)) *
             std::pow(room.reflection_y, std::abs(ny)) *
             std::pow(room.reflection_z, std::abs(nz));
-        const double amp =
-            refl * (opts.include_spreading ? spreading_gain(d) : 1.0);
-        add_bandlimited_impulse(rir, delay, amp, opts.interp_taps);
+        add_bandlimited_impulse(rir, delay, refl * spreading_gain(d),
+                                kRirInterpTaps);
       }
     }
   }
   return rir;
-}
-
-std::vector<double> free_field_ir(Point source, Point receiver,
-                                  const RirOptions& opts,
-                                  double speed_of_sound) {
-  ensure(opts.sample_rate > 0, "sample rate must be positive");
-  std::vector<double> ir(opts.length, 0.0);
-  const double d = distance(source, receiver);
-  const double delay = d / speed_of_sound * opts.sample_rate;
-  ensure(delay < static_cast<double>(opts.length),
-         "free-field delay exceeds requested IR length");
-  const double amp = opts.include_spreading ? spreading_gain(d) : 1.0;
-  add_bandlimited_impulse(ir, delay, amp, opts.interp_taps);
-  return ir;
 }
 
 double direct_delay_samples(const Room& room, Point source, Point receiver,

@@ -26,9 +26,6 @@ struct Room {
   /// A typical small office (the paper's Figure 2 setting).
   static Room office();
 
-  /// A larger, more reverberant space (airport-hall-like).
-  static Room hall();
-
   /// An almost anechoic room (direct path dominates).
   static Room anechoic();
 
@@ -40,20 +37,17 @@ struct Room {
 struct RirOptions {
   double sample_rate = kDefaultSampleRate;
   std::size_t length = 2048;        // taps
-  std::size_t interp_taps = 23;     // windowed-sinc spread per image
-  bool include_spreading = true;    // 1/r amplitude loss
 };
 
+/// Windowed-sinc spread of each image-source arrival, in taps.
+inline constexpr std::size_t kRirInterpTaps = 23;
+
 /// Synthesize the room impulse response from `source` to `receiver` with
-/// the image-source method. Fractional delays are band-limited (windowed
-/// sinc) so sub-sample geometry differences are preserved.
+/// the image-source method. Each image arrives with 1/r spreading loss;
+/// fractional delays are band-limited (windowed sinc) so sub-sample
+/// geometry differences are preserved.
 std::vector<double> image_source_rir(const Room& room, Point source,
                                      Point receiver, const RirOptions& opts);
-
-/// Direct-path-only impulse response (free field), same options.
-std::vector<double> free_field_ir(Point source, Point receiver,
-                                  const RirOptions& opts,
-                                  double speed_of_sound = kSpeedOfSound);
 
 /// Time of the direct-path arrival in samples (fractional).
 double direct_delay_samples(const Room& room, Point source, Point receiver,

@@ -185,13 +185,6 @@ void FxlmsEngine::set_mu(double mu) {
   opts_.mu = mu;
 }
 
-void FxlmsEngine::set_secondary_path(
-    std::vector<double> secondary_path_estimate) {
-  ensure(!secondary_path_estimate.empty(), "secondary path must be non-empty");
-  sec_path_ = std::move(secondary_path_estimate);
-  sec_path_filter_ = mute::dsp::FirFilter(sec_path_);
-}
-
 const std::vector<double>& FxlmsEngine::secondary_path() const {
   return sec_path_;
 }

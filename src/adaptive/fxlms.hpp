@@ -134,8 +134,6 @@ class FxlmsEngine {
   /// fast, then settle to a low-misadjustment step).
   void set_mu(double mu);
 
-  /// Replace the secondary-path estimate (e.g. after recalibration).
-  MUTE_RT_UNSAFE void set_secondary_path(std::vector<double> secondary_path_estimate);
   const std::vector<double>& secondary_path() const;
 
   /// Clear signal history but keep weights (used at profile switches).

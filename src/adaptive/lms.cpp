@@ -34,8 +34,7 @@ Sample AdaptiveFir::predict(Sample x) {
 
 Sample AdaptiveFir::update(Sample desired) {
   const double e = static_cast<double>(desired) - last_y_;
-  const double denom =
-      opts_.normalized ? (std::max(power_, 0.0) + opts_.epsilon) : 1.0;
+  const double denom = std::max(power_, 0.0) + opts_.epsilon;
   const double g = opts_.mu * e / denom;
   const double keep = 1.0 - opts_.mu * opts_.leakage;
   dsp::kernels::axpy_leaky_norm(w_.data(), x_.data(), keep, g, w_.size());

@@ -10,15 +10,15 @@
 
 namespace mute::adaptive {
 
-/// Step-size policy for the LMS family.
+/// Step-size policy for the NLMS filter (the step is always divided by
+/// the reference power).
 struct LmsOptions {
   double mu = 0.05;          // adaptation rate
-  bool normalized = true;    // NLMS: divide by reference power
   double epsilon = 1e-6;     // NLMS regularizer
   double leakage = 0.0;      // coefficient leakage (0 = none)
 };
 
-/// Classic transversal adaptive FIR (LMS / NLMS).
+/// Classic transversal adaptive FIR (NLMS).
 ///
 /// Usage pattern (system identification): feed the input sample, get the
 /// prediction, then call `update` with the desired value. The filter
@@ -49,10 +49,6 @@ class AdaptiveFir {
 
   std::size_t tap_count() const { return w_.size(); }
   const LmsOptions& options() const { return opts_; }
-
-  /// Current input-vector power estimate (NLMS denominator). Maintained
-  /// incrementally and re-synced exactly every tap_count() pushes.
-  double input_power() const { return power_; }
 
  private:
   LmsOptions opts_;

@@ -11,11 +11,11 @@ namespace mute::adaptive {
 
 SysIdResult identify_system(std::span<const Sample> stimulus,
                             std::span<const Sample> response,
-                            std::size_t taps, LmsOptions options) {
+                            std::size_t taps) {
   ensure(stimulus.size() == response.size(), "signal lengths must match");
   ensure(stimulus.size() >= taps * 4,
          "record too short to identify this many taps");
-  AdaptiveFir fir(taps, options);
+  AdaptiveFir fir(taps);
   Signal err = fir.identify(stimulus, response);
 
   // Report error power over the last quarter (converged region).

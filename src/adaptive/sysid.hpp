@@ -25,7 +25,7 @@ struct SysIdResult {
 /// from the anti-noise speaker").
 SysIdResult identify_system(std::span<const Sample> stimulus,
                             std::span<const Sample> response,
-                            std::size_t taps, LmsOptions options = {});
+                            std::size_t taps);
 
 /// Convenience calibration driver: generates `seconds` of white training
 /// noise (deterministic from `seed`), pushes it through `plant` and

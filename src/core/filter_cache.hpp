@@ -64,7 +64,7 @@ struct FilterCacheKeyHash {
 ///     node storage on rehash, and the vector's heap buffer moves with
 ///     its node);
 ///   - it is invalidated by `store()` on the SAME key (the overwrite may
-///     reallocate the vector's buffer) and by `erase_relay()`/`clear()`.
+///     reallocate the vector's buffer) and by `clear()`.
 /// Callers that must hold weights across a same-key overwrite must copy.
 /// Both hazards are pinned by tests/core/core_test.cpp.
 class FilterCache {
@@ -84,22 +84,6 @@ class FilterCache {
   }
 
   bool contains(FilterCacheKey key) const { return cache_.count(key) != 0; }
-
-  /// Drop every profile entry learned against one relay (e.g. after its
-  /// link proved chronically faulty — entries adapted on a bad link are
-  /// not worth preloading).
-  MUTE_RT_UNSAFE std::size_t erase_relay(std::size_t relay) {
-    std::size_t erased = 0;
-    for (auto it = cache_.begin(); it != cache_.end();) {
-      if (it->first.relay == relay) {
-        it = cache_.erase(it);
-        ++erased;
-      } else {
-        ++it;
-      }
-    }
-    return erased;
-  }
 
   std::size_t size() const { return cache_.size(); }
   void clear() { cache_.clear(); }

@@ -15,7 +15,6 @@ LancController::LancController(std::vector<double> secondary_path_estimate,
       engine_(std::move(secondary_path_estimate), options.fxlms),
       extractor_(options.sample_rate,
                  /*fft_size=*/std::min<std::size_t>(options.profile_frame, 512)),
-      classifier_(options.classifier),
       frame_buffer_(options.profile_frame) {
   ensure(options.profile_hop >= 1, "profile hop must be >= 1");
   ensure(options.profile_frame >= extractor_.fft_size(),
@@ -24,8 +23,7 @@ LancController::LancController(std::vector<double> secondary_path_estimate,
   // scheduled-swap countdown (both measured in profiler frames).
   snapshot_depth_ = options.switch_hysteresis +
                     engine_.noncausal_taps() / options.profile_hop + 2;
-  ensure(options.hold_ramp_s >= 0, "hold ramp must be >= 0");
-  const double ramp_samples = options.hold_ramp_s * options.sample_rate;
+  const double ramp_samples = kHoldRampS * options.sample_rate;
   gain_step_ = ramp_samples < 1.0 ? 1.0 : 1.0 / ramp_samples;
 
   if (opts_.engine == LancEngineKind::kFdBlock) {
@@ -56,7 +54,6 @@ LancController::LancController(std::vector<double> secondary_path_estimate,
     fd.mu = opts_.fxlms.mu;
     fd.epsilon = opts_.fxlms.epsilon;
     fd.leakage = opts_.fxlms.leakage;
-    fd.constraint = opts_.fd_constraint;
     fd_engine_ = std::make_unique<mute::adaptive::FdFxlmsEngine>(
         engine_.secondary_path(), fd);
     fd_in_.assign(opts_.fd_block, Sample{0});

@@ -31,6 +31,11 @@ enum class LancEngineKind {
   kFdBlock,
 };
 
+/// Graceful degradation: seconds over which the anti-noise output ramps to
+/// zero after hold() (and back to unity after resume()). Short enough to
+/// beat a fault's damage, long enough to avoid an audible click.
+inline constexpr double kHoldRampS = 0.008;
+
 /// Configuration of the LANC controller.
 struct LancOptions {
   mute::adaptive::FxlmsOptions fxlms{};  // noncausal_taps = usable lookahead
@@ -43,10 +48,8 @@ struct LancOptions {
   // Block size for kFdBlock (power of two). 0 picks the largest power of
   // two <= min(max(fxlms.noncausal_taps / 2, 1), 256): half the lead pays
   // the block pipeline, the other half stays with the filter as future
-  // taps.
+  // taps. The engine runs the round-robin gradient constraint.
   std::size_t fd_block = 0;
-  mute::adaptive::FdConstraint fd_constraint =
-      mute::adaptive::FdConstraint::kRoundRobin;
 
   // Predictive sound profiling (Section 3.2, opportunity 2).
   bool profiling = false;
@@ -56,12 +59,6 @@ struct LancOptions {
   // syllable-scale (tens of ms) energy dips that must NOT trigger a swap;
   // only sentence-scale transitions should (8 frames ~ 64 ms at 16 kHz).
   std::size_t switch_hysteresis = 8;
-  ProfileClassifier::Options classifier{};
-
-  // Graceful degradation: seconds over which the anti-noise output ramps
-  // to zero after hold() (and back to unity after resume()). Short enough
-  // to beat a fault's damage, long enough to avoid an audible click.
-  double hold_ramp_s = 0.008;
 };
 
 /// Lookahead-Aware Noise Cancellation — the paper's Algorithm 1 plus the

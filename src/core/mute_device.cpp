@@ -9,7 +9,7 @@ namespace mute::core {
 
 MuteDevice::MuteDevice(MuteDeviceConfig config)
     : config_(config),
-      training_(config.training_rms, config.seed + 17),
+      training_(kTrainingRms, config.seed + 17),
       selector_(config.relay_count, config.sample_rate,
                 config.selection_period_s, config.selection) {
   ensure(config.sample_rate > 0, "sample rate must be positive");
@@ -29,12 +29,10 @@ MuteDevice::MuteDevice(MuteDeviceConfig config)
     }
     sanitized_.assign(config.relay_count, 0.0f);
   }
-  ensure(config.shadow_fast_handoff_s >= 0,
-         "shadow fast-handoff wait must be >= 0");
   hold_timeout_samples_ = static_cast<std::size_t>(
       config.hold_timeout_s * config.sample_rate);
   shadow_fast_samples_ = static_cast<std::size_t>(
-      config.shadow_fast_handoff_s * config.sample_rate);
+      kShadowFastHandoffS * config.sample_rate);
   standby_max_age_samples_ = static_cast<std::size_t>(
       config.standby_max_age_s * config.sample_rate);
   standby_.reserve(config.relay_count);
@@ -188,7 +186,7 @@ Sample MuteDevice::tick_impl(std::span<const Sample> relay_samples,
         // Shadow fast path: with a converged filter already standing by
         // for a ranked, healthy standby, waiting out hold_timeout_s buys
         // nothing — that wait amortizes a COLD re-acquisition. Give the
-        // link shadow_fast_handoff_s to shake off a micro-dropout, then
+        // link kShadowFastHandoffS to shake off a micro-dropout, then
         // hand over.
         if (const auto target = shadow_handoff_candidate()) {
           begin_handoff(*target);
@@ -504,7 +502,7 @@ void MuteDevice::begin_handoff(const RelayMeasurement& target) {
     lanc_->install_converged(shadow_->engine().weights(),
                              shadow_->engine().reference_window());
     const auto ramp_samples = static_cast<std::size_t>(
-        config_.lanc.hold_ramp_s * config_.sample_rate);
+        kHoldRampS * config_.sample_rate);
     handoff_settle_ = std::max<std::size_t>(1, ramp_samples);
     ++shadow_handoff_count_;
   } else {

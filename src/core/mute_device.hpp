@@ -16,6 +16,16 @@
 
 namespace mute::core {
 
+/// RMS of the training noise the device plays through its anti-noise
+/// speaker during the power-up secondary-path calibration.
+inline constexpr double kTrainingRms = 0.1;
+
+/// With a converged shadow standing by, a flagged link only gets this long
+/// to recover before the association hands over — the full hold timeout
+/// exists to amortize a COLD re-acquisition, and a shadow handoff is
+/// nearly free.
+inline constexpr double kShadowFastHandoffS = 0.02;
+
 /// Configuration of a streaming MUTE ear device.
 struct MuteDeviceConfig {
   double sample_rate = kDefaultSampleRate;
@@ -23,7 +33,6 @@ struct MuteDeviceConfig {
 
   // Power-up secondary-path calibration (plays training noise).
   double calibration_s = 2.0;
-  double training_rms = 0.1;
   std::size_t secondary_taps = 256;
 
   // Relay selection (Section 4.2): listen this long before choosing, and
@@ -73,11 +82,6 @@ struct MuteDeviceConfig {
   // paying the ~total_taps history-refill gap.
   bool enable_shadow = true;
   ShadowFilterOptions shadow{};
-  // With a converged shadow standing by, a flagged link only gets this
-  // long to recover before the association hands over — the full
-  // hold_timeout_s wait exists to amortize a COLD re-acquisition, and a
-  // shadow handoff is nearly free.
-  double shadow_fast_handoff_s = 0.02;
 
   std::uint64_t seed = 1;
 };

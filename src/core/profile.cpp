@@ -90,12 +90,11 @@ ProfileClassifier::ProfileClassifier() : ProfileClassifier(Options{}) {}
 
 ProfileClassifier::ProfileClassifier(Options options) : opts_(options) {
   ensure(options.max_profiles >= 2, "need >= 2 profile slots");
-  ensure(options.match_threshold > 0, "threshold must be positive");
 }
 
 std::size_t ProfileClassifier::classify(const ProfileSignature& signature) {
   // Silence gate first: profile 0.
-  if (signature.level_db < opts_.silence_db) {
+  if (signature.level_db < kSilenceDb) {
     if (centroids_.empty()) centroids_.push_back(signature);
     return 0;
   }
@@ -116,20 +115,20 @@ std::size_t ProfileClassifier::classify(const ProfileSignature& signature) {
     }
   }
   if (centroids_.size() == 1 ||
-      (best_d > opts_.match_threshold &&
+      (best_d > kMatchThreshold &&
        centroids_.size() < opts_.max_profiles)) {
     centroids_.push_back(signature);
     return centroids_.size() - 1;
   }
   // Absorb into the nearest centroid (EMA), but only on confident matches
   // so transition frames cannot drag the centroid across clusters.
-  if (best_d < opts_.absorb_fraction * opts_.match_threshold) {
+  if (best_d < kAbsorbFraction * kMatchThreshold) {
     auto& c = centroids_[best];
     for (std::size_t i = 0; i < c.band_fraction.size(); ++i) {
-      c.band_fraction[i] += opts_.centroid_alpha *
+      c.band_fraction[i] += kCentroidAlpha *
                             (signature.band_fraction[i] - c.band_fraction[i]);
     }
-    c.level_db += opts_.centroid_alpha * (signature.level_db - c.level_db);
+    c.level_db += kCentroidAlpha * (signature.level_db - c.level_db);
   }
   return best;
 }

@@ -52,16 +52,20 @@ class SignatureExtractor {
 class ProfileClassifier {
  public:
   struct Options {
-    double match_threshold = 0.6;  // distance above which a new profile forms
     std::size_t max_profiles = 6;
-    double centroid_alpha = 0.05;  // EMA update toward new members
-    // Centroids absorb (EMA-drift toward) a frame only when the match is
-    // confident — within this fraction of the threshold. Without the
-    // margin, borderline frames during source transitions drag a centroid
-    // across the feature space until one cluster swallows everything.
-    double absorb_fraction = 0.5;
-    double silence_db = -55.0;     // below this level -> dedicated profile 0
   };
+
+  /// Distance above which a new profile forms.
+  static constexpr double kMatchThreshold = 0.6;
+  /// EMA update of a centroid toward a new member.
+  static constexpr double kCentroidAlpha = 0.05;
+  /// Centroids absorb (EMA-drift toward) a frame only when the match is
+  /// confident — within this fraction of the threshold. Without the
+  /// margin, borderline frames during source transitions drag a centroid
+  /// across the feature space until one cluster swallows everything.
+  static constexpr double kAbsorbFraction = 0.5;
+  /// Below this level a frame goes to the dedicated profile 0.
+  static constexpr double kSilenceDb = -55.0;
 
   ProfileClassifier();
   explicit ProfileClassifier(Options options);

@@ -48,13 +48,6 @@ Biquad Biquad::bandpass(double freq_hz, double q, double sample_rate) {
           (1.0 - p.alpha) / a0};
 }
 
-Biquad Biquad::notch(double freq_hz, double q, double sample_rate) {
-  const auto p = rbj(freq_hz, q, sample_rate);
-  const double a0 = 1.0 + p.alpha;
-  return {1.0 / a0, -2.0 * p.cw / a0, 1.0 / a0, -2.0 * p.cw / a0,
-          (1.0 - p.alpha) / a0};
-}
-
 Biquad Biquad::peaking(double freq_hz, double q, double gain_db,
                        double sample_rate) {
   const auto p = rbj(freq_hz, q, sample_rate);
@@ -63,20 +56,6 @@ Biquad Biquad::peaking(double freq_hz, double q, double gain_db,
   return {(1.0 + p.alpha * big_a) / a0, -2.0 * p.cw / a0,
           (1.0 - p.alpha * big_a) / a0, -2.0 * p.cw / a0,
           (1.0 - p.alpha / big_a) / a0};
-}
-
-Biquad Biquad::low_shelf(double freq_hz, double q, double gain_db,
-                         double sample_rate) {
-  const auto p = rbj(freq_hz, q, sample_rate);
-  const double big_a = std::pow(10.0, gain_db / 40.0);
-  const double sq = 2.0 * std::sqrt(big_a) * p.alpha;
-  const double ap1 = big_a + 1.0, am1 = big_a - 1.0;
-  const double a0 = ap1 + am1 * p.cw + sq;
-  return {big_a * (ap1 - am1 * p.cw + sq) / a0,
-          2.0 * big_a * (am1 - ap1 * p.cw) / a0,
-          big_a * (ap1 - am1 * p.cw - sq) / a0,
-          -2.0 * (am1 + ap1 * p.cw) / a0,
-          (ap1 + am1 * p.cw - sq) / a0};
 }
 
 Biquad Biquad::high_shelf(double freq_hz, double q, double gain_db,

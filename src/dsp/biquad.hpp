@@ -19,11 +19,8 @@ class Biquad {
   static Biquad lowpass(double freq_hz, double q, double sample_rate);
   static Biquad highpass(double freq_hz, double q, double sample_rate);
   static Biquad bandpass(double freq_hz, double q, double sample_rate);
-  static Biquad notch(double freq_hz, double q, double sample_rate);
   static Biquad peaking(double freq_hz, double q, double gain_db,
                         double sample_rate);
-  static Biquad low_shelf(double freq_hz, double q, double gain_db,
-                          double sample_rate);
   static Biquad high_shelf(double freq_hz, double q, double gain_db,
                            double sample_rate);
 

@@ -43,25 +43,6 @@ std::vector<double> design_lowpass(double cutoff_hz, double sample_rate,
   return h;
 }
 
-std::vector<double> design_highpass(double cutoff_hz, double sample_rate,
-                                    std::size_t taps, WindowType window) {
-  auto h = design_lowpass(cutoff_hz, sample_rate, taps, window);
-  // Spectral inversion: delta at center minus lowpass.
-  for (double& v : h) v = -v;
-  h[(taps - 1) / 2] += 1.0;
-  return h;
-}
-
-std::vector<double> design_bandpass(double low_hz, double high_hz,
-                                    double sample_rate, std::size_t taps,
-                                    WindowType window) {
-  ensure(low_hz < high_hz, "bandpass requires low < high");
-  auto lp_high = design_lowpass(high_hz, sample_rate, taps, window);
-  auto lp_low = design_lowpass(low_hz, sample_rate, taps, window);
-  for (std::size_t i = 0; i < taps; ++i) lp_high[i] -= lp_low[i];
-  return lp_high;
-}
-
 std::vector<double> design_from_magnitude(std::span<const double> freq_hz,
                                           std::span<const double> magnitude,
                                           double sample_rate,

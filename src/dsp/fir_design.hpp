@@ -16,16 +16,6 @@ std::vector<double> design_lowpass(double cutoff_hz, double sample_rate,
                                    std::size_t taps,
                                    WindowType window = WindowType::kHamming);
 
-/// Windowed-sinc highpass FIR (spectral inversion of the lowpass).
-std::vector<double> design_highpass(double cutoff_hz, double sample_rate,
-                                    std::size_t taps,
-                                    WindowType window = WindowType::kHamming);
-
-/// Windowed-sinc bandpass FIR between `low_hz` and `high_hz`.
-std::vector<double> design_bandpass(double low_hz, double high_hz,
-                                    double sample_rate, std::size_t taps,
-                                    WindowType window = WindowType::kHamming);
-
 /// Frequency-sampling design: build a linear-phase FIR whose magnitude
 /// response approximates `magnitude[i]` at frequency `freq_hz[i]`.
 /// Magnitudes are linear (not dB) and interpolated onto a uniform grid.

@@ -31,14 +31,6 @@ void normalize_rms(std::span<Sample> x, double target_rms) {
   for (Sample& v : x) v = static_cast<Sample>(static_cast<double>(v) * g);
 }
 
-void normalize_peak(std::span<Sample> x, double target_peak) {
-  ensure(target_peak >= 0, "target peak must be non-negative");
-  const double current = peak(x);
-  if (current < 1e-12) return;
-  const double g = target_peak / current;
-  for (Sample& v : x) v = static_cast<Sample>(static_cast<double>(v) * g);
-}
-
 Signal mix(std::span<const Sample> a, std::span<const Sample> b, double gain) {
   Signal out(std::max(a.size(), b.size()), 0.0f);
   for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i];
@@ -75,16 +67,6 @@ double mean(std::span<const Sample> x) {
 void remove_dc(std::span<Sample> x) {
   const double m = mean(x);
   for (Sample& v : x) v = static_cast<Sample>(static_cast<double>(v) - m);
-}
-
-void apply_fade(std::span<Sample> x, std::size_t ramp) {
-  const std::size_t r = std::min(ramp, x.size() / 2);
-  for (std::size_t i = 0; i < r; ++i) {
-    const double g = static_cast<double>(i) / static_cast<double>(r);
-    x[i] = static_cast<Sample>(static_cast<double>(x[i]) * g);
-    x[x.size() - 1 - i] =
-        static_cast<Sample>(static_cast<double>(x[x.size() - 1 - i]) * g);
-  }
 }
 
 }  // namespace mute::dsp

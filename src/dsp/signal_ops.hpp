@@ -19,9 +19,6 @@ double peak(std::span<const Sample> x);
 /// Scale the signal so its RMS equals `target_rms` (no-op on silence).
 void normalize_rms(std::span<Sample> x, double target_rms);
 
-/// Scale the signal so its peak equals `target_peak` (no-op on silence).
-void normalize_peak(std::span<Sample> x, double target_peak);
-
 /// out[i] = a[i] + gain*b[i]; b may be shorter (treated as zero-padded).
 Signal mix(std::span<const Sample> a, std::span<const Sample> b,
            double gain = 1.0);
@@ -37,8 +34,5 @@ double mean(std::span<const Sample> x);
 
 /// Remove the DC component in place.
 void remove_dc(std::span<Sample> x);
-
-/// Apply a linear fade-in/out of `ramp` samples at both ends (click guard).
-void apply_fade(std::span<Sample> x, std::size_t ramp);
 
 }  // namespace mute::dsp

@@ -1,6 +1,5 @@
 #include "dsp/spectral.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -94,69 +93,6 @@ Psd welch_psd(std::span<const Sample> x, double sample_rate,
   return out;
 }
 
-CrossSpectrum cross_spectrum(std::span<const Sample> x,
-                             std::span<const Sample> y, double sample_rate,
-                             std::size_t segment, WindowType window) {
-  ensure(x.size() == y.size(), "signals must have equal length");
-  const auto seg = make_segmenter(x.size(), segment);
-  const auto w = make_window(window, segment);
-  const std::size_t half = segment / 2;
-
-  CrossSpectrum out;
-  out.sample_rate = sample_rate;
-  out.freq_hz.resize(half + 1);
-  out.cross.assign(half + 1, Complex(0.0, 0.0));
-  out.sxx.assign(half + 1, 0.0);
-  out.syy.assign(half + 1, 0.0);
-  for (std::size_t k = 0; k <= half; ++k) {
-    out.freq_hz[k] = bin_frequency(k, segment, sample_rate);
-  }
-
-  ComplexSignal bx(segment), by(segment);
-  for (std::size_t s = 0; s < seg.count; ++s) {
-    const std::size_t off = s * seg.hop;
-    kernels::window_into_complex(reinterpret_cast<double*>(bx.data()),
-                                 w.data(), x.data() + off, segment);
-    kernels::window_into_complex(reinterpret_cast<double*>(by.data()),
-                                 w.data(), y.data() + off, segment);
-    fft_inplace(bx);
-    fft_inplace(by);
-    for (std::size_t k = 0; k <= half; ++k) {
-      out.cross[k] += std::conj(bx[k]) * by[k];
-    }
-    kernels::magsq_accumulate(out.sxx.data(),
-                              reinterpret_cast<const double*>(bx.data()),
-                              half + 1);
-    kernels::magsq_accumulate(out.syy.data(),
-                              reinterpret_cast<const double*>(by.data()),
-                              half + 1);
-  }
-  const double inv = 1.0 / static_cast<double>(seg.count);
-  for (std::size_t k = 0; k <= half; ++k) {
-    out.cross[k] *= inv;
-    out.sxx[k] *= inv;
-    out.syy[k] *= inv;
-  }
-  return out;
-}
-
-ComplexSignal transfer_estimate(const CrossSpectrum& cs) {
-  ComplexSignal h(cs.cross.size());
-  for (std::size_t k = 0; k < h.size(); ++k) {
-    h[k] = cs.cross[k] / std::max(cs.sxx[k], 1e-20);
-  }
-  return h;
-}
-
-std::vector<double> coherence(const CrossSpectrum& cs) {
-  std::vector<double> c(cs.cross.size());
-  for (std::size_t k = 0; k < c.size(); ++k) {
-    const double denom = std::max(cs.sxx[k] * cs.syy[k], 1e-30);
-    c[k] = std::clamp(std::norm(cs.cross[k]) / denom, 0.0, 1.0);
-  }
-  return c;
-}
-
 std::vector<std::vector<double>> stft_magnitude(std::span<const Sample> x,
                                                 std::size_t frame,
                                                 std::size_t hop,
@@ -177,25 +113,6 @@ std::vector<std::vector<double>> stft_magnitude(std::span<const Sample> x,
     frames.push_back(std::move(mag));
   }
   return frames;
-}
-
-std::vector<double> band_energies(
-    std::span<const double> magnitude_frame, double sample_rate,
-    std::size_t fft_size, std::span<const std::pair<double, double>> bands) {
-  std::vector<double> out(bands.size(), 0.0);
-  for (std::size_t k = 0; k < magnitude_frame.size(); ++k) {
-    const double f = bin_frequency(k, fft_size, sample_rate);
-    // Half-open [lo, hi) bands, except the Nyquist bin joins a band whose
-    // upper edge reaches it (same top-of-grid closure as Psd::band_power).
-    const bool top_bin = (k + 1 == magnitude_frame.size());
-    for (std::size_t b = 0; b < bands.size(); ++b) {
-      if (f >= bands[b].first &&
-          (f < bands[b].second || (top_bin && f <= bands[b].second))) {
-        out[b] += magnitude_frame[k] * magnitude_frame[k];
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace mute::dsp

@@ -30,39 +30,10 @@ Psd welch_psd(std::span<const Sample> x, double sample_rate,
               std::size_t segment = 1024,
               WindowType window = WindowType::kHann);
 
-/// Averaged cross-spectral density between x and y (same segmentation as
-/// welch_psd). Returned as complex values on the one-sided grid.
-struct CrossSpectrum {
-  std::vector<double> freq_hz;
-  ComplexSignal cross;       // S_xy
-  std::vector<double> sxx;   // auto-spectrum of x
-  std::vector<double> syy;   // auto-spectrum of y
-  double sample_rate = 0.0;
-};
-
-CrossSpectrum cross_spectrum(std::span<const Sample> x,
-                             std::span<const Sample> y, double sample_rate,
-                             std::size_t segment = 1024,
-                             WindowType window = WindowType::kHann);
-
-/// H1 transfer-function estimate S_xy / S_xx per bin.
-ComplexSignal transfer_estimate(const CrossSpectrum& cs);
-
-/// Magnitude-squared coherence per bin, in [0, 1].
-std::vector<double> coherence(const CrossSpectrum& cs);
-
 /// Short-time Fourier transform frames (for profiling / spectrograms).
 /// Returns per-frame one-sided magnitude spectra.
 std::vector<std::vector<double>> stft_magnitude(
     std::span<const Sample> x, std::size_t frame, std::size_t hop,
     WindowType window = WindowType::kHann);
-
-/// Energy in `bands` (pairs of [lo, hi) Hz — half-open, except the
-/// Nyquist bin joins a band whose upper edge reaches fs/2) of a single
-/// magnitude frame produced by stft_magnitude with the given frame size
-/// and sample rate.
-std::vector<double> band_energies(std::span<const double> magnitude_frame,
-                                  double sample_rate, std::size_t fft_size,
-                                  std::span<const std::pair<double, double>> bands);
 
 }  // namespace mute::dsp

@@ -114,25 +114,4 @@ void print_ascii_chart(std::ostream& os, std::span<const double> x,
   }
 }
 
-void decimate_curve(std::span<const double> x, std::span<const double> y,
-                    std::size_t points, std::vector<double>& x_out,
-                    std::vector<double>& y_out) {
-  ensure(x.size() == y.size() && !x.empty(), "curve size mismatch");
-  ensure(points >= 2, "need >= 2 output points");
-  x_out.clear();
-  y_out.clear();
-  const std::size_t chunk = std::max<std::size_t>(1, x.size() / points);
-  for (std::size_t start = 0; start < x.size(); start += chunk) {
-    const std::size_t end = std::min(start + chunk, x.size());
-    double sx = 0.0, sy = 0.0;
-    for (std::size_t i = start; i < end; ++i) {
-      sx += x[i];
-      sy += y[i];
-    }
-    const auto cnt = static_cast<double>(end - start);
-    x_out.push_back(sx / cnt);
-    y_out.push_back(sy / cnt);
-  }
-}
-
 }  // namespace mute::eval

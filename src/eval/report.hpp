@@ -42,10 +42,4 @@ void print_ascii_chart(std::ostream& os, std::span<const double> x,
                        const std::string& y_label, int width = 72,
                        int height = 18);
 
-/// Reduce a dense (freq, value) curve onto a coarse grid of `points`
-/// centers by averaging — keeps the printed figures readable.
-void decimate_curve(std::span<const double> x, std::span<const double> y,
-                    std::size_t points, std::vector<double>& x_out,
-                    std::vector<double>& y_out);
-
 }  // namespace mute::eval

@@ -8,55 +8,14 @@
 namespace mute::rf {
 
 Nco::Nco(double freq_hz, double sample_rate, double initial_phase)
-    : freq_(freq_hz), fs_(sample_rate), phase0_(initial_phase),
-      phase_(initial_phase) {
+    : freq_(freq_hz), fs_(sample_rate), phase_(initial_phase) {
   ensure(sample_rate > 0, "sample rate must be positive");
 }
 
-Complex Nco::tick() { return tick_fm(0.0); }
-
-Complex Nco::tick_fm(double deviation_hz) {
+Complex Nco::tick() {
   const Complex out = std::polar(1.0, phase_);
-  phase_ = wrap_phase(phase_ + kTwoPi * (freq_ + deviation_hz) / fs_);
+  phase_ = wrap_phase(phase_ + kTwoPi * freq_ / fs_);
   return out;
-}
-
-void Nco::set_frequency(double freq_hz) { freq_ = freq_hz; }
-
-void Nco::reset(double initial_phase) { phase_ = initial_phase; (void)phase0_; }
-
-Vco::Vco(double center_hz, double gain_hz_per_unit, double sample_rate)
-    : center_(center_hz), gain_(gain_hz_per_unit),
-      nco_(center_hz, sample_rate) {
-  ensure(gain_hz_per_unit > 0, "VCO gain must be positive");
-}
-
-Complex Vco::tick(double control_voltage) {
-  return nco_.tick_fm(gain_ * control_voltage);
-}
-
-void Vco::reset() { nco_.reset(); }
-
-Pll::Pll(Params params, double sample_rate, std::uint64_t seed)
-    : params_(params), fs_(sample_rate), seed_(seed), rng_(seed) {
-  ensure(sample_rate > 0, "sample rate must be positive");
-  ensure(params.phase_noise_rad >= 0, "phase noise must be non-negative");
-}
-
-Complex Pll::tick() {
-  const Complex out = std::polar(1.0, phase_);
-  const double f_err =
-      params_.frequency_error_hz + params_.drift_hz_per_s * t_;
-  phase_ = wrap_phase(phase_ + kTwoPi * f_err / fs_ +
-                      rng_.gaussian(params_.phase_noise_rad));
-  t_ += 1.0 / fs_;
-  return out;
-}
-
-void Pll::reset() {
-  phase_ = 0.0;
-  t_ = 0.0;
-  rng_ = Rng(seed_);
 }
 
 }  // namespace mute::rf

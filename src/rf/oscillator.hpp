@@ -1,14 +1,12 @@
 #pragma once
 
-#include <cstdint>
-
-#include "common/rng.hpp"
 #include "common/types.hpp"
 
 namespace mute::rf {
 
 /// Numerically-controlled oscillator producing unit-magnitude complex
-/// phasors. The deterministic heart of mixers and the FM modulator.
+/// phasors: a fixed-frequency test carrier (e.g. a constant frequency
+/// offset to rotate a baseband signal by).
 class Nco {
  public:
   Nco(double freq_hz, double sample_rate, double initial_phase = 0.0);
@@ -16,72 +14,10 @@ class Nco {
   /// Next phasor e^{j phase}; advances by 2*pi*f/fs.
   Complex tick();
 
-  /// Advance with an extra instantaneous frequency offset (Hz) this sample
-  /// — this is the VCO behaviour: frequency proportional to input.
-  Complex tick_fm(double deviation_hz);
-
-  void set_frequency(double freq_hz);
-  double frequency() const { return freq_; }
-  double phase() const { return phase_; }
-  void reset(double initial_phase = 0.0);
-
  private:
   double freq_;
   double fs_;
-  double phase0_;
   double phase_;
-};
-
-/// Voltage-controlled oscillator: output frequency = center + gain * v.
-/// Models the relay's analog VCO (audio voltage directly modulates
-/// frequency — the paper's "matching circuit + FM modulator").
-class Vco {
- public:
-  /// `gain_hz_per_unit` is the tuning sensitivity (Hz per unit input).
-  Vco(double center_hz, double gain_hz_per_unit, double sample_rate);
-
-  Complex tick(double control_voltage);
-  void reset();
-
-  double center_hz() const { return center_; }
-  double gain() const { return gain_; }
-
- private:
-  double center_, gain_;
-  Nco nco_;
-};
-
-/// Phase-locked-loop reference model: a nominal carrier with slowly
-/// drifting frequency error and Wiener-process phase noise. Supplies the
-/// up/down-conversion carriers; the *difference* between two Pll instances
-/// is what creates the carrier frequency offset (CFO) the FM demodulator
-/// must tolerate (paper Section 4.1).
-class Pll {
- public:
-  struct Params {
-    double nominal_hz = 915e6;       // 900 MHz ISM band carrier
-    double frequency_error_hz = 0.0; // static CFO contribution
-    double phase_noise_rad = 0.0;    // per-sample random-walk std-dev
-    double drift_hz_per_s = 0.0;     // linear frequency drift
-  };
-
-  Pll(Params params, double sample_rate, std::uint64_t seed);
-
-  /// Carrier phasor at baseband (relative to the nominal frequency): only
-  /// the *error* terms rotate, so mixing with the conjugate of another
-  /// Pll's output yields the residual CFO + phase noise.
-  Complex tick();
-
-  void reset();
-  const Params& params() const { return params_; }
-
- private:
-  Params params_;
-  double fs_;
-  std::uint64_t seed_;
-  Rng rng_;
-  double phase_ = 0.0;
-  double t_ = 0.0;
 };
 
 }  // namespace mute::rf

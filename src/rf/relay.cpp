@@ -16,14 +16,13 @@ namespace mute::rf {
 RelayTransmitter::RelayTransmitter(const RelayConfig& config,
                                    std::uint64_t /*seed*/)
     : cfg_(config),
-      front_end_(config.audio_cutoff_hz, config.audio_gain, config.clip_level,
+      front_end_(kRelayAudioCutoffHz, kRelayAudioGain, kRelayClipLevel,
                  config.audio_rate),
-      upsampler_(config.audio_rate, config.rf_rate),
-      modulator_(config.fm_deviation_hz, config.rf_rate),
+      upsampler_(config.audio_rate, kDefaultRfSampleRate),
+      modulator_(kFmDeviationHz, kDefaultRfSampleRate),
       pa_(config.pa_backoff_db) {
-  ensure(config.rf_rate > 2 * config.fm_deviation_hz,
-         "rf_rate must exceed twice the FM deviation");
-  ensure(config.rf_rate >= config.audio_rate, "rf_rate >= audio_rate");
+  ensure(kDefaultRfSampleRate >= config.audio_rate,
+         "the RF rate must be at least the audio rate");
 }
 
 ComplexSignal RelayTransmitter::transmit(std::span<const Sample> audio) {
@@ -50,9 +49,9 @@ void RelayTransmitter::reset() {
 
 EarReceiver::EarReceiver(const RelayConfig& config, std::uint64_t /*seed*/)
     : cfg_(config),
-      select_(config.rx_bandwidth_hz, config.rf_rate),
-      demodulator_(config.fm_deviation_hz, config.rf_rate),
-      downsampler_(config.rf_rate, config.audio_rate) {}
+      select_(kRxBandwidthHz, kDefaultRfSampleRate),
+      demodulator_(kFmDeviationHz, kDefaultRfSampleRate),
+      downsampler_(kDefaultRfSampleRate, config.audio_rate) {}
 
 Signal EarReceiver::receive(std::span<const Complex> rf) {
   ComplexSignal selected = select_.process(rf);
@@ -79,7 +78,8 @@ void EarReceiver::reset() {
 
 RelayLink::RelayLink(const RelayConfig& config, std::uint64_t seed)
     : cfg_(config), seed_(seed), tx_(config, seed),
-      channel_(config.faults, config.channel, config.rf_rate, seed + 1),
+      channel_(config.faults, config.channel, kDefaultRfSampleRate,
+               seed + 1),
       rx_(config, seed + 2) {}
 
 Signal RelayLink::process(std::span<const Sample> audio) {
@@ -162,7 +162,7 @@ Signal RelayLink::eavesdrop(std::span<const Sample> audio) {
   RelayConfig tx_cfg = cfg_;
   eaves_cfg.scramble = false;
   RelayTransmitter tx(tx_cfg, seed_);
-  RfChannel channel(cfg_.channel, cfg_.rf_rate, seed_ + 1);
+  RfChannel channel(cfg_.channel, kDefaultRfSampleRate, seed_ + 1);
   EarReceiver rx(eaves_cfg, seed_ + 2);
   ComplexSignal rf = tx.transmit(audio);
   ComplexSignal faded = channel.process(rf);

@@ -8,21 +8,24 @@
 #include "rf/fm.hpp"
 #include "rf/frontend.hpp"
 #include "rf/impairments.hpp"
-#include "rf/oscillator.hpp"
 #include "rf/rf_channel.hpp"
 
 namespace mute::rf {
 
+/// Fixed parameters of the analog relay chain. The complex baseband
+/// stream runs at kDefaultRfSampleRate.
+inline constexpr double kRelayAudioCutoffHz = 7'000.0;  // relay LPF
+inline constexpr double kRelayAudioGain = 1.0;
+inline constexpr double kRelayClipLevel = 4.0;
+inline constexpr double kFmDeviationHz = 60'000.0;    // wideband-FM-style
+inline constexpr double kRxBandwidthHz = 180'000.0;   // channel select (Carson)
+static_assert(kDefaultRfSampleRate > 2 * kFmDeviationHz,
+              "the RF rate must exceed twice the FM deviation");
+
 /// Configuration of the end-to-end relay link.
 struct RelayConfig {
   double audio_rate = kDefaultSampleRate;
-  double rf_rate = kDefaultRfSampleRate;
-  double audio_cutoff_hz = 7'000.0;   // relay LPF
-  double audio_gain = 1.0;
-  double clip_level = 4.0;
-  double fm_deviation_hz = 60'000.0;  // wideband-FM-style deviation
   double pa_backoff_db = 3.0;
-  double rx_bandwidth_hz = 180'000.0; // channel-select bandwidth (Carson)
   // Privacy (Section 4.4 "sound scrambling"): spectrally invert the audio
   // before modulation (multiply by (-1)^n, mapping f -> fs/2 - f). The
   // legitimate ear device inverts it back; an eavesdropper who demodulates
@@ -39,7 +42,8 @@ struct RelayConfig {
 /// The all-analog IoT relay transmitter (paper Figure 9): microphone audio
 /// -> LPF -> amplifier -> VCO/FM -> (PLL up-conversion, modeled as the
 /// baseband phasor) -> PA. Audio enters at `audio_rate`; the emitted
-/// complex baseband stream is at `rf_rate`. No sample is ever stored.
+/// complex baseband stream is at kDefaultRfSampleRate. No sample is ever
+/// stored.
 ///
 /// Every stage is streaming-stateful (biquads, VCO phase, and the
 /// interpolator's carried input tail), so splitting a record into blocks
@@ -49,7 +53,7 @@ class RelayTransmitter {
   RelayTransmitter(const RelayConfig& config, std::uint64_t seed);
 
   /// Transmit a block of audio; returns the complex baseband RF signal
-  /// (length = audio length * rf_rate / audio_rate).
+  /// (length = audio length * kDefaultRfSampleRate / audio_rate).
   ComplexSignal transmit(std::span<const Sample> audio);
 
   void reset();

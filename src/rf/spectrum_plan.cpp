@@ -16,8 +16,6 @@ SpectrumPlanner::SpectrumPlanner(std::size_t relay_count,
          "each relay needs its own channel (frequency-division coexistence)");
   ensure(opt_.penalty_decay_per_s >= 0.0, "decay rate must be >= 0");
   ensure(opt_.min_dwell_s >= 0.0, "dwell must be >= 0");
-  ensure(opt_.tx_step_db > 0.0 && opt_.tx_max_db >= 0.0,
-         "TX escalation must step upward");
   relays_.resize(relay_count);
   // Initial frequency-division assignment: relay k on channel k, matching
   // assign_channels()' evenly pitched layout.
@@ -71,7 +69,7 @@ PlannerAction SpectrumPlanner::plan(std::size_t relay, double now_s) {
   PlannerAction action;
   action.relay = relay;
   RelayState& r = relays_[relay];
-  if (r.adverse < opt_.hop_threshold) return action;
+  if (r.adverse < kHopThreshold) return action;
   if (now_s - r.last_action_s < opt_.min_dwell_s) return action;
 
   // Cleanest channel not occupied by a peer. Ties break toward the lowest
@@ -87,7 +85,7 @@ PlannerAction SpectrumPlanner::plan(std::size_t relay, double now_s) {
   }
 
   if (best != r.channel &&
-      best_penalty + opt_.hop_margin <= penalty_[r.channel]) {
+      best_penalty + kHopMargin <= penalty_[r.channel]) {
     r.channel = best;
     r.adverse = 0.0;
     r.last_action_s = now_s;
@@ -98,8 +96,8 @@ PlannerAction SpectrumPlanner::plan(std::size_t relay, double now_s) {
 
   // No cleaner channel to hop to (wideband interference, or everything is
   // penalized): escalate TX power toward the cap.
-  if (r.tx_gain_db + opt_.tx_step_db <= opt_.tx_max_db + 1e-9) {
-    r.tx_gain_db += opt_.tx_step_db;
+  if (r.tx_gain_db + kTxStepDb <= kTxMaxDb + 1e-9) {
+    r.tx_gain_db += kTxStepDb;
     r.adverse = 0.0;
     r.last_action_s = now_s;
     action.kind = PlannerActionKind::kTxStep;

@@ -64,19 +64,9 @@ struct SpectrumPlannerOptions {
   /// Exponential decay rate (1/s) of per-channel penalty and per-relay
   /// adverse pressure. ~0.5/s forgets a jammer burst in a few seconds.
   double penalty_decay_per_s = 0.5;
-  /// Adverse pressure a relay must accumulate before the planner acts.
-  /// Each note_adverse() adds 1; with decay this is "a couple of adverse
-  /// rounds in quick succession", filtering one-off blips.
-  double hop_threshold = 2.0;
   /// Minimum dwell between actions on one relay. Rate-limits hopping so a
   /// wideband/jammer-everywhere fault cannot trigger a hop storm.
   double min_dwell_s = 0.25;
-  /// A candidate channel must beat the current one by this much penalty
-  /// before a hop is worth the retune transient.
-  double hop_margin = 0.5;
-  /// TX power escalation: step size and cap (dB above nominal).
-  double tx_step_db = 3.0;
-  double tx_max_db = 6.0;
 };
 
 enum class PlannerActionKind {
@@ -105,6 +95,17 @@ struct PlannerAction {
 ///     via RelayLink::set_tx_gain_db().
 class SpectrumPlanner {
  public:
+  /// Adverse pressure a relay must accumulate before the planner acts.
+  /// Each note_adverse() adds 1; with decay this is "a couple of adverse
+  /// rounds in quick succession", filtering one-off blips.
+  static constexpr double kHopThreshold = 2.0;
+  /// A candidate channel must beat the current one by this much penalty
+  /// before a hop is worth the retune transient.
+  static constexpr double kHopMargin = 0.5;
+  /// TX power escalation: step size and cap (dB above nominal).
+  static constexpr double kTxStepDb = 3.0;
+  static constexpr double kTxMaxDb = 6.0;
+
   SpectrumPlanner(std::size_t relay_count, SpectrumPlannerOptions options);
 
   /// Record monitor evidence for `relay` at stream time `now_s`. Adverse

@@ -51,7 +51,7 @@ MeshSimResult run_mesh_simulation(audio::SoundSource& noise,
   // --- 3. Spectrum planner ---------------------------------------------
   std::optional<rf::SpectrumPlanner> planner;
   if (config.spectrum_supervision) {
-    rf::SpectrumPlannerOptions popt = config.planner;
+    rf::SpectrumPlannerOptions popt;
     popt.channel_count = std::max(popt.channel_count, relay_count);
     planner.emplace(relay_count, popt);
     // Mirror the planner's frequency-division assignment into the links so

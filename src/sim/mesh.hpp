@@ -24,7 +24,6 @@ struct MeshSimConfig {
   /// Requires device_sim.device.link_supervision (the planner's evidence
   /// source) and device_sim.use_rf_link (something to retune).
   bool spectrum_supervision = true;
-  rf::SpectrumPlannerOptions planner{};
   /// Planner consult cadence; also the RF streaming block (16 ms default —
   /// control-plane latency, far below any fault hold timeout).
   double control_block_s = 0.016;

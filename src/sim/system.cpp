@@ -168,7 +168,7 @@ SystemResult run_anc_simulation(audio::SoundSource& noise,
 
   {
     const double current = mute::dsp::rms(d_ac);
-    const double g = config.disturbance_rms / std::max(current, 1e-9);
+    const double g = kDisturbanceRms / std::max(current, 1e-9);
     for (auto& v : d_ac) v = static_cast<Sample>(static_cast<double>(v) * g);
     for (auto& v : x_ac) v = static_cast<Sample>(static_cast<double>(v) * g);
   }
@@ -319,7 +319,7 @@ SystemResult run_anc_simulation(audio::SoundSource& noise,
   // keeps refining from there.
   if (config.warm_start) {
     const auto tune_len = std::min<std::size_t>(
-        static_cast<std::size_t>(config.warm_start_tuning_s * fs), n);
+        static_cast<std::size_t>(kWarmStartTuningS * fs), n);
     Transducer tune_mic = make_mic(config.grade, fs, config.seed + 63);
     mute::dsp::BiquadCascade tune_elpf = make_control_lpf();
     Signal d_tune(tune_len);
@@ -351,7 +351,7 @@ SystemResult run_anc_simulation(audio::SoundSource& noise,
     auto w0 = adaptive::fit_causal_fir(u_tune, d_tune,
                                        noncausal + config.causal_taps,
                                        1e-4, effort,
-                                       config.control_effort_weight);
+                                       kControlEffortWeight);
     lanc.engine().set_weights(w0);
   }
 
@@ -489,7 +489,7 @@ DeviceStreams prepare_device_streams(audio::SoundSource& noise,
     const double g = target_rms / std::max(loud_rms(s), 1e-9);
     for (auto& v : s) v = static_cast<Sample>(static_cast<double>(v) * g);
   };
-  scale_to(d_ac, config.disturbance_rms);
+  scale_to(d_ac, kDisturbanceRms);
   // Relay input gain staging, exactly as in the single-link sim: each
   // transmitter's trimmer/AGC drives the FM chain at its nominal 0.1 rms
   // (the level the LinkMonitor thresholds are tuned against — an

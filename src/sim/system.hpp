@@ -23,6 +23,19 @@ enum class HardwareGrade {
   kIdeal,    // algorithm-only studies: identity, noiseless
 };
 
+/// Disturbance RMS at the (open) ear before any device, in both the
+/// offline and the device-level simulation (the device sim measures it
+/// once the ambient starts, after the quiet calibration lead-in).
+inline constexpr double kDisturbanceRms = 0.1;
+
+/// Length of the tuning record the factory-style warm start fits on.
+inline constexpr double kWarmStartTuningS = 4.0;
+
+/// Weight of the out-of-band output-effort penalty in the warm-start
+/// controller fit (higher = less high-frequency spill, shallower in-band
+/// depth; the Bode-integral trade every feedforward ANC makes).
+inline constexpr double kControlEffortWeight = 2.0;
+
 /// Full configuration of one end-to-end ANC run. The defaults describe
 /// MUTE_Hollow in the paper's office scene; the scenario builders in
 /// scenarios.hpp derive the Bose baselines and MUTE+Passive from it.
@@ -85,7 +98,6 @@ struct SystemConfig {
   // with; LMS keeps refining online. Cold start (false) shows raw
   // convergence behaviour instead.
   bool warm_start = false;
-  double warm_start_tuning_s = 4.0;
 
   // Control bandwidth (0 = full band). A conventional headphone cannot
   // realize the fractional-sample *advance* its geometry demands; an
@@ -98,11 +110,6 @@ struct SystemConfig {
   // penalty), not as a physical output filter, which would add group
   // delay the headphone cannot afford.
   double control_bandwidth_hz = 0.0;
-
-  // Weight of the out-of-band output-effort penalty in the warm-start
-  // controller fit (higher = less high-frequency spill, shallower
-  // in-band depth; the Bode-integral trade every feedforward ANC makes).
-  double control_effort_weight = 2.0;
 
   // Hardware.
   HardwareGrade grade = HardwareGrade::kCheap;
@@ -120,9 +127,6 @@ struct SystemConfig {
   // over RF and reaches the adaptive filter late. Delayed-update LMS stays
   // stable for moderate delays if mu is reduced (the variant builders do).
   std::size_t error_feedback_delay_samples = 0;
-
-  // Level: disturbance RMS at the (open) ear before any device.
-  double disturbance_rms = 0.1;
 
   // Head mobility (Section 6 limitation): the error microphone drifts
   // this many meters (+y) over the run, so the noise->ear channel is
@@ -211,10 +215,9 @@ struct DeviceSimConfig {
   std::vector<acoustics::Point> relay_positions;
   double duration_s = 10.0;
   std::uint64_t seed = 1;
-  /// Disturbance RMS at the ear once the ambient starts. The ambient is
-  /// muted through the device's power-up calibration (plus 0.1 s of
-  /// margin), like the quiet-room calibration of the offline sim.
-  double disturbance_rms = 0.1;
+  // The ambient is muted through the device's power-up calibration (plus
+  // 0.1 s of margin), like the quiet-room calibration of the offline sim;
+  // once it starts, the ear hears kDisturbanceRms.
 
   /// Push every relay's reference through its own FM chain. Required for
   /// the scripted fault scenarios (faults live in the RF layer).

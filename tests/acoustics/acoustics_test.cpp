@@ -108,19 +108,6 @@ TEST(Rir, RejectsOutsidePositions) {
                PreconditionError);
 }
 
-TEST(FreeField, SingleArrival) {
-  RirOptions opts;
-  opts.sample_rate = kFs;
-  const auto ir = free_field_ir({0.5, 0.5, 0.5}, {1.5, 0.5, 0.5}, opts);
-  double total = 0.0, peak_v = 0.0;
-  for (double v : ir) {
-    total += std::abs(v);
-    peak_v = std::max(peak_v, std::abs(v));
-  }
-  // Essentially all energy in one band-limited impulse.
-  EXPECT_LT(total, 3.0 * peak_v * 8.0);
-}
-
 TEST(Channel, StreamingMatchesOffline) {
   Room r = Room::office();
   RirOptions opts;

@@ -222,18 +222,6 @@ TEST(FilterCache, RelayAxisKeepsEntriesSeparate) {
   EXPECT_FALSE(cache.contains({3, 0}));
 }
 
-TEST(FilterCache, EraseRelayDropsAllItsProfiles) {
-  FilterCache cache;
-  cache.store({1, 0}, std::vector<double>{1.0});
-  cache.store({1, 4}, std::vector<double>{2.0});
-  cache.store({2, 0}, std::vector<double>{3.0});
-  EXPECT_EQ(cache.erase_relay(1), 2u);
-  EXPECT_FALSE(cache.contains({1, 0}));
-  EXPECT_FALSE(cache.contains({1, 4}));
-  ASSERT_TRUE(cache.contains({2, 0}));
-  EXPECT_EQ((*cache.load({2, 0}))[0], 3.0);
-}
-
 TEST(FilterCache, LoadedSpanSurvivesOtherKeyInserts) {
   // Lifetime contract (see FilterCache): a loaded span must stay valid
   // across store() calls for OTHER keys, even across the rehash that the

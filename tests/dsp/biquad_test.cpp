@@ -37,13 +37,6 @@ TEST(Biquad, BandpassPeaksAtCenter) {
   EXPECT_LT(std::abs(f.response(4000.0, kFs)), 0.3 * at_center);
 }
 
-TEST(Biquad, NotchKillsCenterKeepsFar) {
-  auto f = Biquad::notch(1000.0, 10.0, kFs);
-  EXPECT_LT(std::abs(f.response(1000.0, kFs)), 0.01);
-  EXPECT_NEAR(std::abs(f.response(100.0, kFs)), 1.0, 0.02);
-  EXPECT_NEAR(std::abs(f.response(5000.0, kFs)), 1.0, 0.02);
-}
-
 TEST(Biquad, PeakingBoostsByGain) {
   auto f = Biquad::peaking(1000.0, 2.0, 6.0, kFs);
   EXPECT_NEAR(amplitude_to_db(std::abs(f.response(1000.0, kFs))), 6.0, 0.1);
@@ -51,9 +44,6 @@ TEST(Biquad, PeakingBoostsByGain) {
 }
 
 TEST(Biquad, ShelvesReachPlateauGain) {
-  auto lo = Biquad::low_shelf(500.0, 0.707, -12.0, kFs);
-  EXPECT_NEAR(amplitude_to_db(std::abs(lo.response(30.0, kFs))), -12.0, 0.5);
-  EXPECT_NEAR(amplitude_to_db(std::abs(lo.response(7000.0, kFs))), 0.0, 0.3);
   auto hi = Biquad::high_shelf(2000.0, 0.707, -9.0, kFs);
   EXPECT_NEAR(amplitude_to_db(std::abs(hi.response(7500.0, kFs))), -9.0, 0.5);
   EXPECT_NEAR(amplitude_to_db(std::abs(hi.response(50.0, kFs))), 0.0, 0.3);
@@ -123,7 +113,7 @@ class BiquadStabilityTest
 TEST_P(BiquadStabilityTest, ImpulseResponseDecays) {
   const auto [freq, q] = GetParam();
   for (auto f : {Biquad::lowpass(freq, q, kFs), Biquad::highpass(freq, q, kFs),
-                 Biquad::bandpass(freq, q, kFs), Biquad::notch(freq, q, kFs)}) {
+                 Biquad::bandpass(freq, q, kFs)}) {
     double tail = 0.0;
     Sample y = f.process(1.0f);
     (void)y;

@@ -5,7 +5,6 @@
 #include "common/math_utils.hpp"
 #include "common/rng.hpp"
 #include "dsp/delay_line.hpp"
-#include "dsp/ring_buffer.hpp"
 
 namespace mute::dsp {
 namespace {
@@ -63,67 +62,6 @@ TEST(FractionalDelay, SineShiftsByExpectedPhase) {
 TEST(FractionalDelay, ReportsTotalDelay) {
   FractionalDelay fd(12.34, 31);
   EXPECT_DOUBLE_EQ(fd.total_delay(), 12.34);
-}
-
-TEST(RingBuffer, PushPopFifoOrder) {
-  RingBuffer<int> rb(4);
-  EXPECT_TRUE(rb.push(1));
-  EXPECT_TRUE(rb.push(2));
-  EXPECT_TRUE(rb.push(3));
-  EXPECT_EQ(rb.pop(), 1);
-  EXPECT_EQ(rb.pop(), 2);
-  EXPECT_TRUE(rb.push(4));
-  EXPECT_EQ(rb.pop(), 3);
-  EXPECT_EQ(rb.pop(), 4);
-  EXPECT_TRUE(rb.empty());
-}
-
-TEST(RingBuffer, RejectsWhenFull) {
-  RingBuffer<int> rb(2);
-  EXPECT_TRUE(rb.push(1));
-  EXPECT_TRUE(rb.push(2));
-  EXPECT_TRUE(rb.full());
-  EXPECT_FALSE(rb.push(3));
-  EXPECT_EQ(rb.size(), 2u);
-}
-
-TEST(RingBuffer, PeekDoesNotConsume) {
-  RingBuffer<int> rb(4);
-  rb.push(10);
-  rb.push(20);
-  EXPECT_EQ(rb.peek(0), 10);
-  EXPECT_EQ(rb.peek(1), 20);
-  EXPECT_EQ(rb.size(), 2u);
-  EXPECT_THROW(rb.peek(2), PreconditionError);
-}
-
-TEST(RingBuffer, PopEmptyThrows) {
-  RingBuffer<int> rb(2);
-  EXPECT_THROW(rb.pop(), PreconditionError);
-}
-
-TEST(RingBuffer, BlockPushReportsCount) {
-  RingBuffer<int> rb(3);
-  const int vals[] = {1, 2, 3, 4, 5};
-  EXPECT_EQ(rb.push(std::span<const int>(vals, 5)), 3u);
-  EXPECT_TRUE(rb.full());
-}
-
-TEST(RingBuffer, ClearEmptiesBuffer) {
-  RingBuffer<int> rb(3);
-  rb.push(1);
-  rb.push(2);
-  rb.clear();
-  EXPECT_TRUE(rb.empty());
-  EXPECT_EQ(rb.size(), 0u);
-}
-
-TEST(RingBuffer, WrapAroundManyTimes) {
-  RingBuffer<int> rb(5);
-  for (int round = 0; round < 100; ++round) {
-    for (int i = 0; i < 5; ++i) ASSERT_TRUE(rb.push(round * 5 + i));
-    for (int i = 0; i < 5; ++i) ASSERT_EQ(rb.pop(), round * 5 + i);
-  }
 }
 
 class FractionalDelayAccuracyTest : public ::testing::TestWithParam<double> {};

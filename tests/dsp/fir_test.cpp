@@ -24,25 +24,10 @@ TEST(FirDesign, LowpassPassesPassbandRejectsStopband) {
   EXPECT_LT(std::abs(fir_response(h, 3000.0, 16000.0)), 0.01);
 }
 
-TEST(FirDesign, HighpassMirrorsLowpass) {
-  const auto h = design_highpass(2000.0, 16000.0, 127);
-  EXPECT_LT(std::abs(fir_response(h, 300.0, 16000.0)), 0.01);
-  EXPECT_NEAR(std::abs(fir_response(h, 6000.0, 16000.0)), 1.0, 0.01);
-}
-
-TEST(FirDesign, BandpassPassesCenterOnly) {
-  const auto h = design_bandpass(1000.0, 3000.0, 16000.0, 127);
-  EXPECT_NEAR(std::abs(fir_response(h, 2000.0, 16000.0)), 1.0, 0.02);
-  EXPECT_LT(std::abs(fir_response(h, 200.0, 16000.0)), 0.02);
-  EXPECT_LT(std::abs(fir_response(h, 6000.0, 16000.0)), 0.02);
-}
-
 TEST(FirDesign, RejectsInvalidArguments) {
   EXPECT_THROW(design_lowpass(0.0, 16000.0, 63), PreconditionError);
   EXPECT_THROW(design_lowpass(9000.0, 16000.0, 63), PreconditionError);
   EXPECT_THROW(design_lowpass(1000.0, 16000.0, 64), PreconditionError);
-  EXPECT_THROW(design_bandpass(3000.0, 1000.0, 16000.0, 63),
-               PreconditionError);
 }
 
 TEST(FirDesign, FromMagnitudeApproximatesTarget) {

@@ -132,16 +132,6 @@ TEST(SignalOps, RemoveDcCentersSignal) {
   EXPECT_NEAR(mean(x), 0.0, 1e-7);
 }
 
-TEST(SignalOps, FadeRampsBothEnds) {
-  Signal x(100, 1.0f);
-  apply_fade(x, 10);
-  EXPECT_FLOAT_EQ(x[0], 0.0f);
-  EXPECT_FLOAT_EQ(x[99], 0.0f);
-  EXPECT_GT(x[5], 0.0f);
-  EXPECT_LT(x[5], 1.0f);
-  EXPECT_FLOAT_EQ(x[50], 1.0f);
-}
-
 class ResamplerRatioTest
     : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
 

@@ -6,7 +6,6 @@
 
 #include "common/math_utils.hpp"
 #include "common/rng.hpp"
-#include "dsp/fir_filter.hpp"
 
 namespace mute::dsp {
 namespace {
@@ -72,56 +71,6 @@ TEST(WelchPsd, RejectsShortSignal) {
   EXPECT_THROW(welch_psd(x, kFs, 1024), PreconditionError);
 }
 
-TEST(CrossSpectrum, CoherenceIsOneForLtiRelation) {
-  Rng rng(11);
-  Signal x(64000);
-  for (auto& v : x) v = static_cast<Sample>(rng.gaussian());
-  FirFilter f({0.7, -0.3, 0.2});
-  const auto y = f.filter(x);
-  const auto cs = cross_spectrum(x, y, kFs, 512);
-  const auto coh = coherence(cs);
-  for (std::size_t k = 4; k < coh.size() - 4; ++k) {
-    EXPECT_GT(coh[k], 0.98) << "at " << cs.freq_hz[k] << " Hz";
-  }
-}
-
-TEST(CrossSpectrum, CoherenceDropsWithIndependentNoise) {
-  Rng rng(13);
-  Signal x(64000), y(64000);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = static_cast<Sample>(rng.gaussian());
-    y[i] = static_cast<Sample>(0.5 * static_cast<double>(x[i]) +
-                               rng.gaussian());  // SNR < 0 dB
-  }
-  const auto cs = cross_spectrum(x, y, kFs, 512);
-  const auto coh = coherence(cs);
-  double mean = 0.0;
-  for (double c : coh) mean += c;
-  mean /= static_cast<double>(coh.size());
-  EXPECT_LT(mean, 0.5);
-  EXPECT_GT(mean, 0.05);
-}
-
-TEST(TransferEstimate, RecoversFirResponse) {
-  Rng rng(17);
-  Signal x(64000);
-  for (auto& v : x) v = static_cast<Sample>(rng.gaussian());
-  const std::vector<double> h = {0.5, 0.25, -0.125};
-  FirFilter f(h);
-  const auto y = f.filter(x);
-  const auto cs = cross_spectrum(x, y, kFs, 1024);
-  const auto est = transfer_estimate(cs);
-  // Compare vs analytic response at a few bins.
-  for (std::size_t k : {10u, 100u, 300u, 500u}) {
-    Complex expected(0.0, 0.0);
-    for (std::size_t i = 0; i < h.size(); ++i) {
-      expected += h[i] * std::polar(1.0, -kTwoPi * cs.freq_hz[k] *
-                                                 static_cast<double>(i) / kFs);
-    }
-    EXPECT_NEAR(std::abs(est[k] - expected), 0.0, 0.02);
-  }
-}
-
 TEST(Stft, FrameCountAndSize) {
   Signal x(1000, 0.1f);
   const auto frames = stft_magnitude(x, 256, 128);
@@ -140,18 +89,6 @@ TEST(Stft, ToneAppearsInEveryFrame) {
     }
     EXPECT_NEAR(static_cast<double>(best), static_cast<double>(expected_bin), 1.0);
   }
-}
-
-TEST(BandEnergies, SplitsByBand) {
-  const auto x = make_tone(3000.0, 1.0, 512);
-  const auto frames = stft_magnitude(x, 256, 256);
-  ASSERT_FALSE(frames.empty());
-  const std::vector<std::pair<double, double>> bands = {
-      {0.0, 1000.0}, {1000.0, 2500.0}, {2500.0, 4000.0}, {4000.0, 8000.0}};
-  const auto e = band_energies(frames[0], kFs, 256, bands);
-  ASSERT_EQ(e.size(), 4u);
-  EXPECT_GT(e[2], 100.0 * e[0]);
-  EXPECT_GT(e[2], 100.0 * e[3]);
 }
 
 TEST(PsdStruct, BandPowerCountsNyquistInBandEndingAtNyquist) {
@@ -179,21 +116,6 @@ TEST(WelchPsd, BandPowerPartitionCoversFullGridIncludingNyquist) {
   const double lower = psd.band_power(0.0, 4000.0);
   const double upper = psd.band_power(4000.0, 8000.0);
   EXPECT_NEAR(lower + upper, all, 1e-9 * all);
-}
-
-TEST(BandEnergies, NyquistBinJoinsBandEndingAtNyquist) {
-  // Frame of all-ones magnitudes over a 256-point grid: each band's energy
-  // equals its bin count, so the Nyquist bin's placement is visible.
-  const std::size_t fft_size = 256;
-  const std::vector<double> frame(fft_size / 2 + 1, 1.0);
-  const std::vector<std::pair<double, double>> bands = {{0.0, 4000.0},
-                                                        {4000.0, 8000.0}};
-  const auto e = band_energies(frame, kFs, fft_size, bands);
-  ASSERT_EQ(e.size(), 2u);
-  double covered = e[0] + e[1];
-  EXPECT_DOUBLE_EQ(covered, static_cast<double>(frame.size()));
-  // The top band gets the Nyquist bin: [4k,8k] spans bins 64..128 = 65 bins.
-  EXPECT_DOUBLE_EQ(e[1], 65.0);
 }
 
 TEST(PsdStruct, PowerAtFindsNearestBin) {

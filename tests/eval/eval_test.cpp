@@ -179,17 +179,5 @@ TEST(Report, AsciiChartRendersWithoutCrashing) {
   EXPECT_NE(os.str().find("down"), std::string::npos);
 }
 
-TEST(Report, DecimateCurveAverages) {
-  std::vector<double> x(100), y(100);
-  for (int i = 0; i < 100; ++i) {
-    x[i] = i;
-    y[i] = 2.0 * i;
-  }
-  std::vector<double> xo, yo;
-  decimate_curve(x, y, 10, xo, yo);
-  EXPECT_EQ(xo.size(), 10u);
-  EXPECT_NEAR(yo[0], 2.0 * xo[0], 1e-9);
-}
-
 }  // namespace
 }  // namespace mute::eval

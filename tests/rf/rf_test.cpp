@@ -29,35 +29,6 @@ TEST(Nco, ProducesUnitPhasorsAtFrequency) {
   }
 }
 
-TEST(Vco, FrequencyFollowsControlVoltage) {
-  Vco vco(0.0, 10000.0, kRfFs);  // 10 kHz per unit
-  Complex prev = vco.tick(0.5);
-  double accum = 0.0;
-  const int n = 1000;
-  for (int i = 0; i < n; ++i) {
-    const Complex c = vco.tick(0.5);
-    accum += std::arg(c * std::conj(prev));
-    prev = c;
-  }
-  const double freq = accum / n * kRfFs / kTwoPi;
-  EXPECT_NEAR(freq, 5000.0, 10.0);
-}
-
-TEST(Pll, StaticErrorRotatesAtCfo) {
-  Pll::Params p;
-  p.frequency_error_hz = 300.0;
-  Pll pll(p, kRfFs, 1);
-  Complex prev = pll.tick();
-  double accum = 0.0;
-  const int n = 2000;
-  for (int i = 0; i < n; ++i) {
-    const Complex c = pll.tick();
-    accum += std::arg(c * std::conj(prev));
-    prev = c;
-  }
-  EXPECT_NEAR(accum / n * kRfFs / kTwoPi, 300.0, 5.0);
-}
-
 TEST(Fm, RoundTripRecoversAudio) {
   FmModulator mod(60000.0, kRfFs);
   FmDemodulator demod(60000.0, kRfFs);

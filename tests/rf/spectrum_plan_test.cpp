@@ -81,7 +81,7 @@ TEST(SpectrumPlanner, MinDwellRateLimitsActions) {
   // Interference follows (wideband): pressure rebuilds immediately, but
   // the planner must not hop again inside min_dwell_s — no hop storms.
   for (int i = 0; i < 3; ++i) planner.note_adverse(0, 0.06 + 0.01 * i);
-  EXPECT_GE(planner.adverse_pressure(0), quick_options().hop_threshold);
+  EXPECT_GE(planner.adverse_pressure(0), SpectrumPlanner::kHopThreshold);
   EXPECT_EQ(planner.plan(0, 0.1).kind, PlannerActionKind::kNone);
   EXPECT_EQ(planner.plan(0, 0.29).kind, PlannerActionKind::kNone);
   // Past the dwell the action lands.
