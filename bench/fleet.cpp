@@ -46,8 +46,6 @@
 #include "audio/generators.hpp"
 #include "bench_util.hpp"
 #include "common/error.hpp"
-#include "core/mute_device.hpp"
-#include "dsp/fir_filter.hpp"
 #include "sim/fleet.hpp"
 #include "sim/system.hpp"
 
@@ -125,9 +123,9 @@ Row measure_fleet(const mute::sim::FleetProfile& profile, std::size_t devices,
 }
 
 // The baseline the fleet replaces: one OS thread per device, each owning
-// its own heap-constructed device and streaming loop. Warm-up runs
-// untimed per thread; two rendezvous points bracket the timed region so
-// the wall clock covers exactly the same simulated span as the fleet.
+// its own heap-constructed EarLoop. Warm-up runs untimed per thread; two
+// rendezvous points bracket the timed region so the wall clock covers
+// exactly the same simulated span as the fleet.
 Row measure_naive(const mute::sim::FleetProfile& profile, std::size_t devices,
                   double sim_s) {
   const mute::sim::DeviceStreams& s = profile.streams;
@@ -145,25 +143,12 @@ Row measure_naive(const mute::sim::FleetProfile& profile, std::size_t devices,
   threads.reserve(devices);
   for (std::size_t i = 0; i < devices; ++i) {
     threads.emplace_back([&, i] {
-      mute::core::MuteDeviceConfig cfg = s.device;
-      cfg.seed = i + 1;
-      mute::core::MuteDevice device(cfg);
-      mute::dsp::FirFilter hse(s.hse_eff);
-      std::vector<mute::Sample> feed(s.x.size());
-      mute::Sample error = 0.0f;
+      mute::sim::EarLoop ear(s, i + 1);
       std::size_t cursor = 0;
       const auto run = [&](std::size_t samples) {
         for (std::size_t t = 0; t < samples; ++t) {
           if (cursor >= len) cursor = profile.loop_start;
-          for (std::size_t k = 0; k < feed.size(); ++k) {
-            feed[k] = s.x[k][cursor];
-          }
-          const mute::Sample y = device.tick(feed, error);
-          const mute::Sample anti = hse.process(y);
-          const auto at_ear = static_cast<mute::Sample>(
-              static_cast<double>(s.d[cursor]) + static_cast<double>(anti));
-          error = at_ear;
-          ++cursor;
+          ear.step(s, cursor++, 1.0);
         }
       };
       run(warm);

@@ -412,6 +412,33 @@ void BM_FleetThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetThroughput)->Arg(8);
 
+// One closed-loop device tick, EarLoop::step: the relay feed, the whole
+// MuteDevice::tick, the plant FIR and the ear sum. Paper-default device on
+// one relay over its FM link, looped in the loud region; calibration and
+// the first selection round run untimed, later rounds amortize in.
+// Informational (not pinned in BENCH_baseline.json).
+void BM_DeviceTick(benchmark::State& state) {
+  static const sim::FleetProfile& profile = *[] {
+    sim::DeviceSimConfig cfg;
+    cfg.duration_s = 6.0;
+    audio::WhiteNoiseSource noise(0.1, 776);
+    return new sim::FleetProfile(
+        sim::make_fleet_profile(noise, cfg, /*loop_steady_state=*/true));
+  }();
+  sim::EarLoop ear(profile.streams, 1);
+  std::size_t cursor = 0;
+  const auto step = [&] {
+    if (cursor >= profile.length()) cursor = profile.loop_start;
+    return ear.step(profile.streams, cursor++, 1.0);
+  };
+  const auto warm =
+      static_cast<std::size_t>(3.5 * profile.streams.sample_rate);
+  for (std::size_t t = 0; t < warm; ++t) step();
+  for (auto _ : state) benchmark::DoNotOptimize(step());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_DeviceTick);
+
 // One full selection period through RelaySelector::push: the per-sample
 // capture plus the GCC-PHAT round it ends with. /1 is the paper-default
 // device (one relay, 1 s period), /4 the mesh (four relays, 0.5 s).

@@ -147,7 +147,7 @@ void FleetRuntime::drain(std::uint64_t tenant_id) {
   if (t.state == TenantState::kDraining || t.state == TenantState::kDrained) {
     return;
   }
-  if (t.device == nullptr) {
+  if (t.ear == nullptr) {
     // Admitted but never constructed (no block boundary in between):
     // cancel the pending admit and evict straight away.
     pending_admits_.erase(
@@ -205,12 +205,7 @@ void FleetRuntime::apply_control() {
       const PendingAdmit& pa = batch[i];
       Tenant& t = tenants_[pa.slot];
       ScopedArenaAlloc scope(arenas_.arena(pa.slot));
-      const FleetProfile& p = profiles_[t.profile];
-      core::MuteDeviceConfig cfg = p.streams.device;
-      cfg.seed = pa.seed;
-      t.device = std::make_unique<core::MuteDevice>(cfg);
-      t.hse = std::make_unique<dsp::FirFilter>(p.streams.hse_eff);
-      t.feed.assign(p.streams.x.size(), 0.0f);
+      t.ear = std::make_unique<EarLoop>(profiles_[t.profile].streams, pa.seed);
     };
     pool_.run(batch.size(), construct);
     schedule_dirty_ = true;
@@ -230,8 +225,7 @@ void FleetRuntime::evict(std::size_t slot) {
   // Destroy arena-backed objects BEFORE the arena reclaims their bytes;
   // their operator delete is a no-op via the region registry (or a real
   // free when routing is compiled out — either way this order is correct).
-  t.device.reset();
-  t.hse.reset();
+  t.ear.reset();
   t = Tenant{};
   arenas_.arena(slot).reset();
   free_slots_.push_back(slot);
@@ -275,9 +269,6 @@ void FleetRuntime::process_tenant_block(Tenant& t) {
   const FleetProfile& p = profiles_[t.profile];
   const std::size_t len = p.length();
   const double fs = p.streams.sample_rate;
-  const std::size_t relay_count = t.feed.size();
-  core::MuteDevice& device = *t.device;
-  dsp::FirFilter& hse = *t.hse;
 
   for (std::size_t s = 0; s < config_.block_samples; ++s) {
     if (t.cursor >= len) [[unlikely]] {
@@ -291,17 +282,8 @@ void FleetRuntime::process_tenant_block(Tenant& t) {
       t.cursor = p.loop_start;
     }
 
-    for (std::size_t k = 0; k < relay_count; ++k) {
-      t.feed[k] = p.streams.x[k][t.cursor];
-    }
-    const Sample y = device.tick(t.feed, t.error);
-    const Sample anti = hse.process(y);
+    const Sample at_ear = t.ear->step(p.streams, t.cursor, t.gain);
     const double d = static_cast<double>(p.streams.d[t.cursor]);
-    // gain == 1.0 multiplies exactly, so a running tenant computes the
-    // bit-identical at_ear of run_device_simulation's streaming loop.
-    const Sample at_ear =
-        static_cast<Sample>(d + t.gain * static_cast<double>(anti));
-    t.error = at_ear;
     if (t.capture) t.captured[t.cursor] = at_ear;
 
     // Windowed never-louder invariant (PR 2 semantics): compare residual
@@ -355,9 +337,9 @@ TenantStats FleetRuntime::snapshot(const Tenant& t, std::size_t slot) const {
   s.worst_excess_db = t.worst_excess_db;
   s.worst_excess_t_s = t.worst_excess_t_s;
   s.windows = t.windows;
-  if (t.device != nullptr) {
-    s.handoff_count = t.device->handoff_count();
-    s.hold_count = t.device->hold_count();
+  if (t.ear != nullptr) {
+    s.handoff_count = t.ear->device().handoff_count();
+    s.hold_count = t.ear->device().hold_count();
   }
   const MonotonicArena& arena = arenas_.arena(slot);
   s.arena_used = arena.used();

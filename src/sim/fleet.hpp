@@ -10,8 +10,6 @@
 #include "common/arena.hpp"
 #include "common/rt_annotations.hpp"
 #include "common/types.hpp"
-#include "core/mute_device.hpp"
-#include "dsp/fir_filter.hpp"
 #include "sim/system.hpp"
 #include "sim/worker_pool.hpp"
 
@@ -199,11 +197,8 @@ class FleetRuntime {
 
     // Arena-backed (constructed on a worker lane inside the tenant's
     // ScopedArenaAlloc; destroyed before arena reset at eviction).
-    std::unique_ptr<core::MuteDevice> device;
-    std::unique_ptr<dsp::FirFilter> hse;
-    Signal feed;
+    std::unique_ptr<EarLoop> ear;
 
-    Sample error = 0.0f;  // device consumes the PREVIOUS tick's ear field
     std::size_t cursor = 0;
     std::uint64_t samples = 0;
 

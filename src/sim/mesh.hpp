@@ -9,13 +9,13 @@
 namespace mute::sim {
 
 /// Configuration of the N-relay *mesh* simulation: run_device_simulation's
-/// physics plus runtime spectrum supervision. The RF chains persist for
+/// block loop plus runtime spectrum supervision. The RF chains persist for
 /// the whole run and stream per control block (every stage is
 /// streaming-stateful, so with supervision off the result is bit-identical
-/// to the whole-record device sim — pinned by tests/sim/mesh_test.cpp),
-/// which is what lets a SpectrumPlanner retune links MID-RUN in reaction
-/// to link-monitor evidence: jammer-dodging channel hops and TX-power
-/// escalation, per relay.
+/// to the device sim's whole-record RF — pinned by
+/// tests/sim/mesh_test.cpp), which is what lets a SpectrumPlanner retune
+/// links MID-RUN in reaction to link-monitor evidence: jammer-dodging
+/// channel hops and TX-power escalation, per relay.
 struct MeshSimConfig {
   /// The underlying device-level scenario (scene, relays, faults, device).
   DeviceSimConfig device_sim{};

@@ -10,7 +10,6 @@
 #include "common/math_utils.hpp"
 #include "dsp/fir_design.hpp"
 #include "dsp/delay_line.hpp"
-#include "dsp/fir_filter.hpp"
 #include "dsp/signal_ops.hpp"
 
 namespace mute::sim {
@@ -69,32 +68,23 @@ std::vector<double> effective_secondary_ir(
   return acoustics::cascade_ir(ir, frac, ir.size() + frac.size());
 }
 
-void read_device_diagnostics(const core::MuteDevice& device,
-                             const core::LatencyBudget& latency,
-                             SystemResult& result) {
-  const std::size_t relay_count = device.config().relay_count;
-  result.noncausal_taps = device.noncausal_taps();
-  result.calibration_error_db = device.calibration().final_error_db;
-  result.handoff_count = device.handoff_count();
-  result.shadow_handoff_count = device.shadow_handoff_count();
-  result.device_hold_count = device.hold_count();
-  result.reacquisition_gap_s = device.last_reacquisition_gap_s();
-  result.max_reacquisition_gap_s = device.max_reacquisition_gap_s();
-  result.relay_active_s.resize(relay_count);
-  for (std::size_t k = 0; k < relay_count; ++k) {
-    result.relay_active_s[k] = device.relay_active_s(k);
-    if (const auto* monitor = device.link_monitor(k)) {
-      result.link_fault_samples += monitor->unhealthy_samples();
-      result.link_fault_episodes += monitor->fault_episodes();
-      if (monitor->unhealthy_samples() > 0) {
-        result.link_fault_flags |= monitor->flags();
-      }
-    }
+void check_relay_faults(const DeviceSimConfig& config) {
+  const std::size_t links =
+      config.use_rf_link
+          ? std::max<std::size_t>(1, config.relay_positions.size())
+          : 0;
+  for (std::size_t k = links; k < config.relay_faults.size(); ++k) {
+    ensure(config.relay_faults[k].empty(),
+           "a fault schedule can never run: no RF link carries it");
   }
-  if (device.measured_lookahead_s() > 0.0) {
-    result.usable_lookahead_s =
-        core::usable_lookahead_s(device.measured_lookahead_s(), latency);
-  }
+}
+
+rf::RelayLink make_relay_link(const DeviceSimConfig& config, std::size_t k,
+                              double fs) {
+  rf::RelayConfig rf_cfg = config.rf;
+  rf_cfg.audio_rate = fs;
+  if (k < config.relay_faults.size()) rf_cfg.faults = config.relay_faults[k];
+  return rf::RelayLink(rf_cfg, config.seed + 100 + k);
 }
 
 }  // namespace detail
@@ -445,6 +435,7 @@ DeviceStreams prepare_device_streams(audio::SoundSource& noise,
   ensure(fs > 0, "scene sample rate must be positive");
   const auto n = static_cast<std::size_t>(config.duration_s * fs);
   ensure(n > 4096, "run too short");
+  detail::check_relay_faults(config);
 
   std::vector<acoustics::Point> relays = config.relay_positions;
   if (relays.empty()) relays.push_back(config.scene.relay_mic);
@@ -501,13 +492,7 @@ DeviceStreams prepare_device_streams(audio::SoundSource& noise,
   // --- 3. Per-relay RF chains (each with its own fault script) ---------
   if (config.use_rf_link) {
     for (std::size_t k = 0; k < relay_count; ++k) {
-      rf::RelayConfig rf_cfg = config.rf;
-      rf_cfg.audio_rate = fs;
-      if (k < config.relay_faults.size()) {
-        rf_cfg.faults = config.relay_faults[k];
-      }
-      rf::RelayLink link(rf_cfg, config.seed + 100 + k);
-      x[k] = link.process(x[k]);
+      x[k] = detail::make_relay_link(config, k, fs).process(x[k]);
     }
   }
 
@@ -526,41 +511,13 @@ DeviceStreams prepare_device_streams(audio::SoundSource& noise,
   return streams;
 }
 
-SystemResult run_device_simulation(audio::SoundSource& noise,
-                                   const DeviceSimConfig& config) {
-  DeviceStreams streams = prepare_device_streams(noise, config);
-  const double fs = streams.sample_rate;
-  const std::size_t n = streams.d.size();
-  const std::size_t relay_count = streams.x.size();
-  const std::vector<Signal>& x = streams.x;
-  Signal d_ac = std::move(streams.d);
-
-  core::MuteDevice device(streams.device);
-  mute::dsp::FirFilter hse_stream(streams.hse_eff);
-
-  // --- 5. Streaming loop -----------------------------------------------
-  SystemResult result;
-  result.sample_rate = fs;
-  result.disturbance = d_ac;
-  result.residual.resize(n);
-  result.anti_at_ear.resize(n);
-  Signal feed(relay_count, 0.0f);
-  Sample error = 0.0f;  // device consumes the PREVIOUS tick's ear field
-  for (std::size_t t = 0; t < n; ++t) {
-    for (std::size_t k = 0; k < relay_count; ++k) feed[k] = x[k][t];
-    const Sample y = device.tick(feed, error);
-    const Sample anti = hse_stream.process(y);
-    const Sample at_ear =
-        static_cast<Sample>(static_cast<double>(d_ac[t]) +
-                            static_cast<double>(anti));
-    error = at_ear;
-    result.residual[t] = at_ear;
-    result.anti_at_ear[t] = anti;
-  }
-  result.ambient_at_ear = std::move(d_ac);
-
-  detail::read_device_diagnostics(device, streams.device.latency, result);
-  return result;
-}
+EarLoop::EarLoop(const DeviceStreams& streams, std::uint64_t seed)
+    : device_([&] {
+        core::MuteDeviceConfig cfg = streams.device;
+        cfg.seed = seed;
+        return cfg;
+      }()),
+      plant_(streams.hse_eff),
+      feed_(streams.x.size(), 0.0f) {}
 
 }  // namespace mute::sim

@@ -7,10 +7,12 @@
 
 #include "acoustics/environment.hpp"
 #include "audio/source.hpp"
+#include "common/rt_annotations.hpp"
 #include "core/lanc.hpp"
 #include "core/link_monitor.hpp"
 #include "core/mute_device.hpp"
 #include "core/timing.hpp"
+#include "dsp/fir_filter.hpp"
 #include "rf/relay.hpp"
 #include "sim/passive.hpp"
 
@@ -151,6 +153,7 @@ struct SystemResult {
   // microphone): residual ~= ambient_at_ear + anti_at_ear + mic noise.
   // Needed by experiments where the two components take different onward
   // paths (e.g. into the ear canal from different incidence angles).
+  // Only run_anc_simulation fills them; device-level runs leave them empty.
   Signal ambient_at_ear;
   Signal anti_at_ear;
   double sample_rate = 0.0;
@@ -224,7 +227,9 @@ struct DeviceSimConfig {
   bool use_rf_link = true;
   rf::RelayConfig rf{};
   /// Per-relay scripted faults; index k applies to relay k (missing
-  /// entries mean a benign link). See sim::make_fault_schedule.
+  /// entries mean a benign link). See sim::make_fault_schedule. Runs
+  /// reject a non-empty schedule that no RF link carries: one past the
+  /// last relay, or any with `use_rf_link` off.
   std::vector<rf::FaultSchedule> relay_faults;
 
   /// Device configuration. `sample_rate` and `relay_count` are overridden
@@ -243,8 +248,9 @@ struct DeviceSimConfig {
 /// Factored out of run_device_simulation so the fleet runtime
 /// (sim/fleet.hpp) and the mesh (sim/mesh.hpp, with the RF link off — it
 /// streams its own links) build their inputs through the *same* code
-/// path — one implementation is what makes a single-tenant fleet and a
-/// supervision-off mesh bit-identical to run_device_simulation.
+/// path and step the same EarLoop over them — one implementation is what
+/// makes a single-tenant fleet and a supervision-off mesh bit-identical
+/// to run_device_simulation.
 struct DeviceStreams {
   std::vector<Signal> x;        // per-relay reference, post RF chain
   Signal d;                     // disturbance at the ear (lead-in muted)
@@ -254,20 +260,52 @@ struct DeviceStreams {
   double sample_rate = 0.0;
 };
 
-/// Synthesize the inputs of a device-level run (steps 1-4 of
-/// run_device_simulation): noise record with quiet lead-in, acoustic
-/// paths, loud-region level normalization, per-relay RF chains, effective
-/// secondary path. Deterministic in (noise, config).
+/// Synthesize the inputs of a device-level run: noise record with quiet
+/// lead-in, acoustic paths, loud-region level normalization, per-relay RF
+/// chains over the whole record, effective secondary path. Deterministic
+/// in (noise, config).
 DeviceStreams prepare_device_streams(audio::SoundSource& noise,
                                      const DeviceSimConfig& config);
 
-/// Run the device-level simulation. In the result, `disturbance` and
-/// `residual` are the ear field without/with the device (the residual
-/// includes the calibration tone and every state transition — it is the
-/// honest account of what the ear hears across the device lifecycle);
-/// `reference` is left empty (each relay has its own stream). Failover
-/// diagnostics (handoff_count, reacquisition_gap_s, relay_active_s,
-/// device_hold_count) and the per-relay link-fault tallies are populated.
+/// The closed ear loop of one device (paper §1, Algorithm 1): the relay
+/// feed goes into the MuteDevice, its anti-noise reaches the ear through
+/// the effective secondary path, and the error mic returns the ear field
+/// one tick later. The device and mesh sims and the fleet all step it.
+class EarLoop {
+ public:
+  /// A device on `streams`, with `seed` as its device seed.
+  EarLoop(const DeviceStreams& streams, std::uint64_t seed);
+
+  /// One tick at stream index `t`; returns the ear field d[t] + gain *
+  /// anti. `gain` is the fleet's admission/drain fade; 1.0 multiplies
+  /// exactly, so every caller hears the same ear.
+  MUTE_RT_SAFE Sample step(const DeviceStreams& streams, std::size_t t,
+                           double gain) {
+    for (std::size_t k = 0; k < feed_.size(); ++k) feed_[k] = streams.x[k][t];
+    const Sample anti = plant_.process(device_.tick(feed_, error_));
+    error_ = static_cast<Sample>(static_cast<double>(streams.d[t]) +
+                                 gain * static_cast<double>(anti));
+    return error_;
+  }
+
+  const core::MuteDevice& device() const { return device_; }
+
+ private:
+  core::MuteDevice device_;
+  dsp::FirFilter plant_;  // hse_eff
+  Signal feed_;
+  Sample error_ = 0.0f;  // the device consumes the PREVIOUS tick's ear field
+};
+
+/// Run the device-level simulation: prepare_device_streams, then the
+/// mesh's block loop (sim/mesh.cpp) with no links and no planner. In the
+/// result, `disturbance` and `residual` are the ear field without/with the
+/// device (the residual includes the calibration tone and every state
+/// transition — it is the honest account of what the ear hears across the
+/// device lifecycle); `reference` is left empty (each relay has its own
+/// stream). Failover diagnostics (handoff_count, reacquisition_gap_s,
+/// relay_active_s, device_hold_count) and the per-relay link-fault tallies
+/// are populated.
 SystemResult run_device_simulation(audio::SoundSource& noise,
                                    const DeviceSimConfig& config);
 
@@ -279,14 +317,13 @@ namespace detail {
 std::vector<double> effective_secondary_ir(const std::vector<double>& h_se,
                                            double budget_samples);
 
-/// Copy a finished device's diagnostics into `result`: noncausal taps,
-/// calibration error, handoff/shadow-handoff/hold counts, re-acquisition
-/// gaps, per-relay active time, link-monitor fault tallies and the usable
-/// lookahead left after `latency`. Shared by the device and mesh
-/// simulations so both report the same fields the same way.
-void read_device_diagnostics(const core::MuteDevice& device,
-                             const core::LatencyBudget& latency,
-                             SystemResult& result);
+/// Throw PreconditionError on a `relay_faults` entry that can never fire.
+void check_relay_faults(const DeviceSimConfig& config);
+
+/// Relay k's RF chain (`config.rf` at audio rate `fs`, relay k's faults,
+/// seed `config.seed + 100 + k`): the device-level runs' one link factory.
+rf::RelayLink make_relay_link(const DeviceSimConfig& config, std::size_t k,
+                              double fs);
 }  // namespace detail
 
 }  // namespace mute::sim

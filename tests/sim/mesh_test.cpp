@@ -223,5 +223,35 @@ TEST(MeshSim, SupervisionRequiresItsEvidenceSources) {
   EXPECT_THROW(run_mesh_simulation(noise, mesh), PreconditionError);
 }
 
+TEST(MeshSim, RejectsFaultSchedulesBeyondTheRelayCount) {
+  // Relay 2 does not exist, so its dropout could never run; a failover
+  // experiment configured this way would pass without its fault.
+  DeviceSimConfig cfg = two_relay_config();
+  cfg.relay_faults = {
+      {}, {},
+      make_fault_schedule(FaultScenario::kRelayDropout, 2.0, 0.5)};
+  audio::WhiteNoiseSource noise(0.1, 1011);
+  EXPECT_THROW(run_device_simulation(noise, cfg), PreconditionError);
+
+  MeshSimConfig mesh;
+  mesh.device_sim = cfg;
+  EXPECT_THROW(run_mesh_simulation(noise, mesh), PreconditionError);
+}
+
+TEST(MeshSim, RejectsFaultSchedulesWithoutAnRfLink) {
+  // Faults live in the RF layer: with the link off they could never run.
+  DeviceSimConfig cfg = two_relay_config();
+  cfg.use_rf_link = false;
+  cfg.relay_faults = {
+      make_fault_schedule(FaultScenario::kRelayDropout, 2.0, 0.5)};
+  audio::WhiteNoiseSource noise(0.1, 1011);
+  EXPECT_THROW(run_device_simulation(noise, cfg), PreconditionError);
+
+  MeshSimConfig mesh;
+  mesh.device_sim = cfg;
+  mesh.spectrum_supervision = false;
+  EXPECT_THROW(run_mesh_simulation(noise, mesh), PreconditionError);
+}
+
 }  // namespace
 }  // namespace mute::sim
