@@ -19,7 +19,6 @@
 #include "core/lanc.hpp"
 #include "core/relay_select.hpp"
 #include "core/shadow_filter.hpp"
-#include "dsp/convolution.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/fir_filter.hpp"
 #include "dsp/kernels.hpp"
@@ -149,21 +148,6 @@ void BM_FirFilterPerSample(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FirFilterPerSample)->Arg(64)->Arg(256)->Arg(1024)->Arg(2048);
-
-void BM_OverlapSaveBlock(benchmark::State& state) {
-  const auto taps = static_cast<std::size_t>(state.range(0));
-  Rng rng(3);
-  std::vector<double> h(taps);
-  for (auto& v : h) v = rng.gaussian();
-  dsp::OverlapSaveConvolver ols(h, 256);
-  Signal in(256, 0.1f), out(256);
-  for (auto _ : state) {
-    ols.process_block(in, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 256);
-}
-BENCHMARK(BM_OverlapSaveBlock)->Arg(256)->Arg(1024)->Arg(2048);
 
 void BM_LancTick(benchmark::State& state) {
   const auto noncausal = static_cast<std::size_t>(state.range(0));
@@ -416,7 +400,6 @@ BENCHMARK(BM_FleetThroughput)->Arg(8);
 // MuteDevice::tick, the plant FIR and the ear sum. Paper-default device on
 // one relay over its FM link, looped in the loud region; calibration and
 // the first selection round run untimed, later rounds amortize in.
-// Informational (not pinned in BENCH_baseline.json).
 void BM_DeviceTick(benchmark::State& state) {
   static const sim::FleetProfile& profile = *[] {
     sim::DeviceSimConfig cfg;

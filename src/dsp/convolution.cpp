@@ -1,7 +1,5 @@
 #include "dsp/convolution.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "common/math_utils.hpp"
 #include "dsp/fft.hpp"
@@ -48,79 +46,6 @@ Signal convolve_same(std::span<const Sample> a, std::span<const double> b) {
   Signal full = use_fft ? fft_convolve(a, b) : convolve(a, b);
   full.resize(a.size());
   return full;
-}
-
-OverlapSaveConvolver::OverlapSaveConvolver(
-    std::vector<double> impulse_response, std::size_t block_size)
-    : taps_(impulse_response.size()),
-      block_size_(block_size),
-      fft_size_(next_pow2(std::max<std::size_t>(block_size + taps_ - 1, 2))),
-      overlap_(taps_ > 0 ? taps_ - 1 : 0, 0.0) {
-  ensure(taps_ >= 1, "impulse response must be non-empty");
-  ensure(block_size_ >= 1, "block size must be >= 1");
-  ComplexSignal h(fft_size_);
-  for (std::size_t i = 0; i < taps_; ++i) h[i] = impulse_response[i];
-  fft_inplace(h);
-  h_spectrum_ = std::move(h);
-}
-
-void OverlapSaveConvolver::process_block(std::span<const Sample> in,
-                                         std::span<Sample> out) {
-  ensure(in.size() == block_size_ && out.size() == block_size_,
-         "block must be exactly block_size samples");
-  // Assemble [overlap | new block] then zero-pad to fft_size.
-  ComplexSignal x(fft_size_);
-  const std::size_t ov = overlap_.size();
-  for (std::size_t i = 0; i < ov; ++i) x[i] = overlap_[i];
-  for (std::size_t i = 0; i < block_size_; ++i) {
-    x[ov + i] = static_cast<double>(in[i]);
-  }
-  fft_inplace(x);
-  for (std::size_t i = 0; i < fft_size_; ++i) x[i] *= h_spectrum_[i];
-  ifft_inplace(x);
-  // Valid samples start at index ov (the first ov outputs are corrupted by
-  // circular wraparound in classic overlap-save with zero head padding --
-  // here we feed the true history so outputs at [ov, ov+block) are exact).
-  for (std::size_t i = 0; i < block_size_; ++i) {
-    out[i] = static_cast<Sample>(x[ov + i].real());
-  }
-  // Save the last taps-1 input samples as history for the next block.
-  if (ov > 0) {
-    std::vector<double> next(ov);
-    for (std::size_t i = 0; i < ov; ++i) {
-      const std::ptrdiff_t src =
-          static_cast<std::ptrdiff_t>(block_size_) - static_cast<std::ptrdiff_t>(ov) +
-          static_cast<std::ptrdiff_t>(i);
-      next[i] = (src >= 0) ? static_cast<double>(in[static_cast<std::size_t>(src)])
-                           : overlap_[static_cast<std::size_t>(
-                                 static_cast<std::ptrdiff_t>(ov) + src)];
-    }
-    overlap_ = std::move(next);
-  }
-}
-
-Signal OverlapSaveConvolver::filter(std::span<const Sample> in) {
-  Signal out(in.size());
-  std::size_t done = 0;
-  Signal padded_in(block_size_), padded_out(block_size_);
-  while (done < in.size()) {
-    const std::size_t chunk = std::min(block_size_, in.size() - done);
-    std::copy(in.begin() + static_cast<std::ptrdiff_t>(done),
-              in.begin() + static_cast<std::ptrdiff_t>(done + chunk),
-              padded_in.begin());
-    std::fill(padded_in.begin() + static_cast<std::ptrdiff_t>(chunk),
-              padded_in.end(), 0.0f);
-    process_block(padded_in, padded_out);
-    std::copy(padded_out.begin(),
-              padded_out.begin() + static_cast<std::ptrdiff_t>(chunk),
-              out.begin() + static_cast<std::ptrdiff_t>(done));
-    done += chunk;
-  }
-  return out;
-}
-
-void OverlapSaveConvolver::reset() {
-  std::fill(overlap_.begin(), overlap_.end(), 0.0);
 }
 
 }  // namespace mute::dsp

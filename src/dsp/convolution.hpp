@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -18,37 +17,5 @@ Signal fft_convolve(std::span<const Sample> a, std::span<const double> b);
 /// "Same" convolution: output length == a.size(), filter applied causally
 /// (y[n] = sum_k b[k] a[n-k]); the convolution tail is discarded.
 Signal convolve_same(std::span<const Sample> a, std::span<const double> b);
-
-/// Streaming overlap-save convolver: processes arbitrary-size blocks
-/// against a fixed FIR at FFT speed while preserving exact streaming
-/// semantics (same output as a direct streaming FIR filter).
-class OverlapSaveConvolver {
- public:
-  /// `block_size` is the nominal streaming block; the FFT size is chosen
-  /// as next_pow2(block_size + taps - 1).
-  OverlapSaveConvolver(std::vector<double> impulse_response,
-                       std::size_t block_size);
-
-  /// Process exactly `block_size()` samples.
-  void process_block(std::span<const Sample> in, std::span<Sample> out);
-
-  /// Convenience: filter an arbitrary-length signal (internally chunked,
-  /// final partial block zero-padded then trimmed). Output length matches
-  /// input length (causal "same" semantics).
-  Signal filter(std::span<const Sample> in);
-
-  void reset();
-
-  std::size_t block_size() const { return block_size_; }
-  std::size_t fft_size() const { return fft_size_; }
-  std::size_t tap_count() const { return taps_; }
-
- private:
-  std::size_t taps_;
-  std::size_t block_size_;
-  std::size_t fft_size_;
-  ComplexSignal h_spectrum_;
-  std::vector<double> overlap_;  // last taps-1 input samples
-};
 
 }  // namespace mute::dsp

@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "dsp/fir_filter.hpp"
 
 namespace mute::dsp {
 namespace {
@@ -70,56 +69,6 @@ TEST(Convolve, RejectsEmptyInputs) {
   Signal a(4, 1.0f);
   EXPECT_THROW(convolve(empty, std::vector<double>{1.0}), PreconditionError);
   EXPECT_THROW(convolve(a, std::vector<double>{}), PreconditionError);
-}
-
-TEST(OverlapSave, MatchesStreamingFir) {
-  Rng rng(5);
-  std::vector<double> h(33);
-  for (auto& v : h) v = rng.gaussian();
-  Signal x(1000);
-  for (auto& v : x) v = static_cast<Sample>(rng.gaussian());
-
-  OverlapSaveConvolver ols(h, 128);
-  FirFilter fir(h);
-  const auto y_ols = ols.filter(x);
-  const auto y_fir = fir.filter(x);
-  ASSERT_EQ(y_ols.size(), y_fir.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(y_ols[i], y_fir[i], 1e-4) << "at " << i;
-  }
-}
-
-TEST(OverlapSave, BlockBoundariesAreSeamless) {
-  Rng rng(8);
-  std::vector<double> h(9);
-  for (auto& v : h) v = rng.gaussian();
-  OverlapSaveConvolver ols(h, 32);
-  FirFilter fir(h);
-  // Process block by block and compare each sample.
-  Signal in(32), out(32);
-  for (int block = 0; block < 10; ++block) {
-    for (auto& v : in) v = static_cast<Sample>(rng.gaussian());
-    ols.process_block(in, out);
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      EXPECT_NEAR(out[i], fir.process(in[i]), 1e-4);
-    }
-  }
-}
-
-TEST(OverlapSave, ResetRestoresInitialState) {
-  std::vector<double> h = {1.0, 0.5};
-  OverlapSaveConvolver ols(h, 16);
-  Signal in(16, 1.0f), out1(16), out2(16);
-  ols.process_block(in, out1);
-  ols.reset();
-  ols.process_block(in, out2);
-  for (std::size_t i = 0; i < 16; ++i) EXPECT_FLOAT_EQ(out1[i], out2[i]);
-}
-
-TEST(OverlapSave, RejectsWrongBlockSize) {
-  OverlapSaveConvolver ols({1.0}, 16);
-  Signal in(8), out(8);
-  EXPECT_THROW(ols.process_block(in, out), PreconditionError);
 }
 
 class ConvolutionSizeTest

@@ -247,7 +247,8 @@ TEST(FrameHistory, MatchesShiftRegisterAcrossWraps) {
 }
 
 TEST(FirFilterBlock, MatchesScalarPath) {
-  for (const std::size_t taps : {1UL, 7UL, 64UL, 129UL}) {
+  // 2078 taps: the blocks cut across the partitioned tail's block edges.
+  for (const std::size_t taps : {1UL, 7UL, 64UL, 129UL, 2078UL}) {
     const auto h = random_vec(taps, 900 + static_cast<unsigned>(taps), 0.2);
     dsp::FirFilter scalar_f(h);
     dsp::FirFilter block_f(h);
@@ -261,14 +262,14 @@ TEST(FirFilterBlock, MatchesScalarPath) {
       for (std::size_t i = 0; i < b; ++i) out_scalar[i] = scalar_f.process(in[i]);
       block_f.process(in, out_block);
       for (std::size_t i = 0; i < b; ++i) {
-        EXPECT_NEAR(out_block[i], out_scalar[i], 1e-5f)
+        EXPECT_EQ(out_block[i], out_scalar[i])
             << "taps=" << taps << " block=" << b << " i=" << i;
       }
     }
     // Histories must agree afterwards too: continue scalar on both.
     for (int t = 0; t < 32; ++t) {
       const auto x = static_cast<Sample>(rng.gaussian(0.3));
-      EXPECT_NEAR(scalar_f.process(x), block_f.process(x), 1e-5f);
+      EXPECT_EQ(scalar_f.process(x), block_f.process(x));
     }
   }
 }

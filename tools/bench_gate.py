@@ -39,11 +39,13 @@ PINNED = [
     "BM_KernelAxpyLeakyNorm/1024",
     "BM_KernelScaledAccumulate/1024",
     "BM_FirFilterPerSample/1024",
+    "BM_FirFilterPerSample/2048",
     "BM_FxlmsCycle/1024",
     "BM_FdLancBlock/2048",
     "BM_AdaptiveFirStep/1024",
     "BM_ShadowObserve/704",
     "BM_FleetThroughput/8",
+    "BM_DeviceTick",
     "BM_RelaySelectRound/1",
     "BM_RelaySelectRound/4",
 ]
