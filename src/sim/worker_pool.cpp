@@ -1,16 +1,72 @@
 #include "sim/worker_pool.hpp"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "sim/parallel_sweep.hpp"
 
 namespace mute::sim {
 
+namespace {
+
+// The CPUs helper lanes start on, in order: every CPU the calling thread
+// may run on, beginning after the one it runs on now, so the caller's own
+// CPU comes last. Empty where the platform gives no placement control.
+std::vector<int> helper_start_cpus() {
+  std::vector<int> cpus;
+#if defined(__linux__)
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return cpus;
+  const int home = std::max(sched_getcpu(), 0);
+  for (int k = 1; k <= CPU_SETSIZE; ++k) {
+    const int cpu = (home + k) % CPU_SETSIZE;
+    if (CPU_ISSET(cpu, &allowed)) cpus.push_back(cpu);
+  }
+#endif
+  return cpus;
+}
+
+// Moves the calling thread onto `cpu`, then gives back every CPU it was
+// allowed. A new thread starts on its creator's CPU, and a kernel that
+// does not balance load (a cpuset with sched_load_balance off) wakes a
+// parked thread where it last ran, so without this every lane can stay on
+// the caller's CPU for the pool's whole life and the lanes take turns on
+// it. With balancing on, this is only a starting point.
+void start_on(int cpu) {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (sched_setaffinity(0, sizeof(one), &one) == 0) {
+    sched_setaffinity(0, sizeof(allowed), &allowed);
+  }
+#else
+  (void)cpu;
+#endif
+}
+
+}  // namespace
+
 WorkerPool::WorkerPool(std::size_t workers)
     : workers_(workers == 0 ? default_sweep_workers() : workers) {
   if (workers_ < 1) workers_ = 1;
   threads_.reserve(workers_ - 1);
+  const std::vector<int> cpus =
+      workers_ > 1 ? helper_start_cpus() : std::vector<int>{};
   for (std::size_t w = 1; w < workers_; ++w) {
-    threads_.emplace_back([this] { worker_loop(); });
+    const int cpu = cpus.empty() ? -1 : cpus[(w - 1) % cpus.size()];
+    threads_.emplace_back([this, cpu] {
+      if (cpu >= 0) start_on(cpu);
+      worker_loop();
+    });
   }
 }
 

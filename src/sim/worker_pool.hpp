@@ -34,6 +34,11 @@ namespace mute::sim {
 ///     words, copied by value into the job slot) and all job state lives
 ///     in the pool.
 ///
+/// Placement: each helper thread starts on its own CPU of the caller's
+/// affinity set (the caller's CPU last) and then gets the caller's whole
+/// set back, so lanes run side by side even where the kernel does not
+/// balance load (DESIGN.md §14).
+///
 /// Synchronization: job hand-off and completion go through one mutex +
 /// two condition variables; every body(i) therefore happens-after run()'s
 /// publication of the job and happens-before run()'s return (the
