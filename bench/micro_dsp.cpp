@@ -17,6 +17,7 @@
 #include "audio/generators.hpp"
 #include "common/rng.hpp"
 #include "core/lanc.hpp"
+#include "core/link_monitor.hpp"
 #include "core/relay_select.hpp"
 #include "core/shadow_filter.hpp"
 #include "dsp/fft.hpp"
@@ -311,6 +312,28 @@ void BM_ShadowObserve(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ShadowObserve)->Arg(704);
+
+// The link monitor's per-sample health estimate on the active relay feed
+// (core.link_monitor.process in the e2e ledger): one second of 0.1-rms
+// reference with a 0.3-rms dropout burst in it, so the hysteresis runs
+// through a fault episode and back on every loop.
+void BM_LinkMonitor(benchmark::State& state) {
+  const double fs = 16000.0;
+  core::LinkMonitor monitor(core::LinkMonitorOptions{}, fs);
+  Rng rng(12);
+  std::vector<Sample> xs(16000);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double rms = (i >= 6000 && i < 8000) ? 0.3 : 0.1;
+    xs[i] = static_cast<Sample>(rng.gaussian(rms));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(monitor.process(xs[i]));
+    i = (i + 1 == xs.size()) ? 0 : i + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LinkMonitor);
 
 // LMS predict+update per-sample cycle (system identification hot loop).
 void BM_AdaptiveFirStep(benchmark::State& state) {

@@ -12,11 +12,11 @@ namespace mute::adaptive {
 FxlmsEngine::FxlmsEngine(std::vector<double> secondary_path_estimate,
                          FxlmsOptions options)
     : opts_(options),
-      w_(options.noncausal_taps + options.causal_taps, 0.0),
-      x_hist_(w_.size()),
-      u_hist_(w_.size()),
-      sec_path_filter_(secondary_path_estimate),
+      x_hist_(std::max(options.noncausal_taps + options.causal_taps,
+                       secondary_path_estimate.size())),
+      u_hist_(options.noncausal_taps + options.causal_taps),
       sec_path_(std::move(secondary_path_estimate)),
+      w_(u_hist_.size(), 0.0),
       good_w_(w_.size(), 0.0) {
   ensure(opts_.causal_taps >= 1, "need at least one causal tap");
   ensure(opts_.mu > 0, "mu must be positive");
@@ -28,15 +28,16 @@ FxlmsEngine::FxlmsEngine(std::vector<double> secondary_path_estimate,
   ensure(!sec_path_.empty(), "secondary path estimate must be non-empty");
 }
 
-void FxlmsEngine::push_reference(Sample x_advanced) {
-  MUTE_CHECK_FINITE(x_advanced, "FxLMS reference sample");
-  MUTE_RT_SCOPE("FxlmsEngine::push_reference");
-  // Filtered reference u(t+N) = (h_se_est * x)(t+N), computed on arrival.
-  const Sample u_new = sec_path_filter_.process(x_advanced);
+double FxlmsEngine::filtered_reference() const {
+  // u(t+N) = (h_se_est * x)(t+N): the estimate's taps over the newest
+  // reference samples, rounded to Sample like every filter output.
+  return static_cast<double>(static_cast<Sample>(dsp::kernels::dot(
+      sec_path_.data(), x_hist_.data(), sec_path_.size())));
+}
 
+void FxlmsEngine::push_filtered(double u_new) {
   const double u_old = u_hist_.oldest();
-  x_hist_.push(static_cast<double>(x_advanced));
-  u_hist_.push(static_cast<double>(u_new));
+  u_hist_.push(u_new);
   if (++pushes_since_power_sync_ >= w_.size()) {
     // Exact re-sync: the incremental add/subtract below leaves a rounding
     // residue each push, and over ~1e6 pushes that residue can dwarf the
@@ -45,12 +46,20 @@ void FxlmsEngine::push_reference(Sample x_advanced) {
     pushes_since_power_sync_ = 0;
     u_power_ = dsp::kernels::energy(u_hist_.data(), w_.size());
   } else {
-    u_power_ += static_cast<double>(u_new) * static_cast<double>(u_new) -
-                u_old * u_old;
+    u_power_ += u_new * u_new - u_old * u_old;
   }
 }
 
+void FxlmsEngine::push_reference(Sample x_advanced) {
+  MUTE_CHECK_FINITE(x_advanced, "FxLMS reference sample");
+  MUTE_RT_SCOPE("FxlmsEngine::push_reference");
+  settle();
+  x_hist_.push(static_cast<double>(x_advanced));
+  push_filtered(filtered_reference());
+}
+
 Sample FxlmsEngine::compute_antinoise() const {
+  settle();
   // Window index i holds x(t - (i - N)); weight w_[i] is w_{k = i - N}.
   return static_cast<Sample>(
       dsp::kernels::dot(w_.data(), x_hist_.data(), w_.size()));
@@ -59,17 +68,27 @@ Sample FxlmsEngine::compute_antinoise() const {
 void FxlmsEngine::adapt(Sample error) {
   MUTE_CHECK_FINITE(error, "FxLMS error-microphone sample");
   MUTE_RT_SCOPE("FxlmsEngine::adapt");
+  settle();
   if (opts_.min_excitation > 0.0 &&
       u_power_ < opts_.min_excitation * static_cast<double>(w_.size())) {
     return;  // reference too weak to identify anything; updating is noise
   }
   const double denom = std::max(u_power_, 0.0) + opts_.epsilon;
-  const double g = opts_.mu * static_cast<double>(error) / denom;
-  const double keep = 1.0 - opts_.mu * opts_.leakage;
-  const double norm2 = dsp::kernels::axpy_leaky_norm(
-      w_.data(), u_hist_.data(), keep, -g, w_.size());
+  step_gain_ = -(opts_.mu * static_cast<double>(error) / denom);
+  step_keep_ = 1.0 - opts_.mu * opts_.leakage;
+  step_pending_ = true;
+}
+
+void FxlmsEngine::settle() const {
+  if (!step_pending_) return;
+  step_pending_ = false;
+  guard_update(dsp::kernels::axpy_leaky_norm(
+      w_.data(), u_hist_.data(), step_keep_, step_gain_, w_.size()));
+}
+
+bool FxlmsEngine::guard_update(double norm2) const {
   w_norm2_ = norm2;
-  if (opts_.weight_norm_limit <= 0.0) return;
+  if (opts_.weight_norm_limit <= 0.0) return false;
 
   const double limit2 = opts_.weight_norm_limit * opts_.weight_norm_limit;
   if (norm2 > limit2) [[unlikely]] {
@@ -81,7 +100,9 @@ void FxlmsEngine::adapt(Sample error) {
     w_norm2_ = good_norm2_;
     since_snapshot_ = 0;
     ++rollback_count_;
-  } else if (++since_snapshot_ >= opts_.snapshot_interval) {
+    return true;
+  }
+  if (++since_snapshot_ >= opts_.snapshot_interval) {
     since_snapshot_ = 0;
     // Snapshot only a comfortably-converged filter: weights hovering near
     // the limit are themselves suspect rollback targets. The stability
@@ -99,15 +120,35 @@ void FxlmsEngine::adapt(Sample error) {
       good_norm2_ = norm2;
     }
   }
+  return false;
 }
 
 Sample FxlmsEngine::step_output(Sample x_advanced) {
-  push_reference(x_advanced);
-  return compute_antinoise();
+  MUTE_CHECK_FINITE(x_advanced, "FxLMS reference sample");
+  MUTE_RT_SCOPE("FxlmsEngine::step_output");
+  x_hist_.push(static_cast<double>(x_advanced));
+  if (!step_pending_) {
+    push_filtered(filtered_reference());
+    return compute_antinoise();
+  }
+  // One pass: the pending step over the u window it was computed from
+  // (u is pushed only afterwards), then the guard, the output and the next
+  // filtered reference from the new weights and reference window.
+  step_pending_ = false;
+  const auto pass = dsp::kernels::axpy_leaky_norm_dots(
+      w_.data(), u_hist_.data(), step_keep_, step_gain_, w_.size(),
+      x_hist_.data(), sec_path_.data(), sec_path_.size());
+  const double y = guard_update(pass.norm2)
+                       ? dsp::kernels::dot(w_.data(), x_hist_.data(),
+                                           w_.size())  // rolled back
+                       : pass.wx;
+  push_filtered(static_cast<double>(static_cast<Sample>(pass.hx)));
+  return static_cast<Sample>(y);
 }
 
 void FxlmsEngine::set_weights(std::span<const double> w) {
   ensure(w.size() == w_.size(), "weight size mismatch");
+  settle();
   std::copy(w.begin(), w.end(), w_.begin());
   const double norm2 = dsp::kernels::energy(w_.data(), w_.size());
   w_norm2_ = norm2;
@@ -123,7 +164,7 @@ void FxlmsEngine::set_weights(std::span<const double> w) {
 }
 
 void FxlmsEngine::prime_history(std::span<const double> x_newest_first) {
-  reset_history();  // the secondary-path filter must start from zero state
+  reset_history();  // the filtered reference must start from zero history
   // push_reference wants oldest-first arrival order; the span is
   // newest-first. Replaying through the real push keeps every derived
   // quantity (u history, u_power_, sync counter) consistent by
@@ -133,9 +174,13 @@ void FxlmsEngine::prime_history(std::span<const double> x_newest_first) {
   }
 }
 
-double FxlmsEngine::weight_norm() const { return std::sqrt(w_norm2_); }
+double FxlmsEngine::weight_norm() const {
+  settle();
+  return std::sqrt(w_norm2_);
+}
 
 void FxlmsEngine::restore_snapshot() {
+  settle();
   if (opts_.weight_norm_limit <= 0.0) return;  // guard off: no snapshots
   std::copy(good_w_.begin(), good_w_.end(), w_.begin());
   w_norm2_ = good_norm2_;
@@ -144,6 +189,7 @@ void FxlmsEngine::restore_snapshot() {
 
 void FxlmsEngine::retarget_noncausal(std::size_t new_noncausal,
                                      std::ptrdiff_t weight_shift) {
+  settle();
   const std::size_t new_total = new_noncausal + opts_.causal_taps;
   const auto old_total = static_cast<std::ptrdiff_t>(w_.size());
   // Remap in place, walking away from the side the reads come from so
@@ -166,9 +212,8 @@ void FxlmsEngine::retarget_noncausal(std::size_t new_noncausal,
   double norm2 = 0.0;
   for (const double w : w_) norm2 += w * w;
   opts_.noncausal_taps = new_noncausal;
-  x_hist_.assign(new_total, 0.0);
+  x_hist_.assign(std::max(new_total, sec_path_.size()), 0.0);
   u_hist_.assign(new_total, 0.0);
-  sec_path_filter_.reset();
   u_power_ = 0.0;
   pushes_since_power_sync_ = 0;
   w_norm2_ = norm2;
@@ -190,9 +235,9 @@ const std::vector<double>& FxlmsEngine::secondary_path() const {
 }
 
 void FxlmsEngine::reset_history() {
+  settle();
   x_hist_.fill(0.0);
   u_hist_.fill(0.0);
-  sec_path_filter_.reset();
   u_power_ = 0.0;
   pushes_since_power_sync_ = 0;
 }

@@ -6,7 +6,6 @@
 
 #include "common/rt_annotations.hpp"
 #include "common/types.hpp"
-#include "dsp/fir_filter.hpp"
 #include "dsp/ring_history.hpp"
 
 namespace mute::adaptive {
@@ -52,6 +51,27 @@ struct FxlmsOptions {
 ///   3. adapt(e(t))              — after the acoustic mix is observed, the
 ///                                 Eq. 7 update w_k -= mu * e(t) * u(t-k)
 ///                                 where u = h_se_estimate * x.
+/// step_output() is steps 1 and 2 in one call.
+///
+/// Deferred step. adapt() only records its step (the gain and the leakage
+/// keep factor, after the excitation gate); the weights move when the next
+/// step_output() runs. That call makes one pass over the taps
+/// (kernels::axpy_leaky_norm_dots): it applies the step, and from the new
+/// weights and the new reference window it computes ||w||^2 for the
+/// divergence guard, the anti-noise y and the filtered reference u(t+N+1).
+/// The results are bit-identical to applying the step in adapt() and then
+/// running the three separate kernels. The filtered reference is a direct
+/// dot of the secondary-path estimate over the reference window, so that
+/// window holds max(total_taps(), estimate length) samples.
+///
+/// Settle-on-read. Every other entry point that reads or replaces the
+/// weights or the u history applies a pending step first, through the
+/// unfused axpy_leaky_norm: push_reference, compute_antinoise, adapt,
+/// weights, weight_norm, rollback_count, set_weights, prime_history,
+/// restore_snapshot, retarget_noncausal, reset_history and reset. So no
+/// caller can observe the deferral, whatever order it calls in. The const
+/// readers settle too (the weight state is `mutable`), so an engine must
+/// not be read from two threads at once.
 class FxlmsEngine {
  public:
   FxlmsEngine(std::vector<double> secondary_path_estimate,
@@ -68,6 +88,7 @@ class FxlmsEngine {
 
   /// push + compute in one call (adapt still separate — the error for time
   /// t only exists after the simulator mixes the anti-noise acoustically).
+  /// Applies the step a preceding adapt() recorded in the same pass.
   MUTE_RT_SAFE Sample step_output(Sample x_advanced);
 
   std::size_t total_taps() const { return w_.size(); }
@@ -75,7 +96,10 @@ class FxlmsEngine {
   const FxlmsOptions& options() const { return opts_; }
 
   /// Weight vector ordered [w_{-N} ... w_{-1}, w_0, ..., w_{L-1}].
-  const std::vector<double>& weights() const { return w_; }
+  const std::vector<double>& weights() const {
+    settle();
+    return w_;
+  }
   MUTE_RT_UNSAFE void set_weights(std::span<const double> w);
 
   /// The reference window the weights currently see, newest-first (window
@@ -86,15 +110,15 @@ class FxlmsEngine {
   }
 
   /// Replay a newest-first reference window through push_reference() so
-  /// the x/u histories, the secondary-path filter state, and the NLMS
-  /// power term all match what they would be had this engine streamed the
-  /// samples itself. Pair with set_weights() to install a shadow filter's
-  /// converged state: weights without their history would multiply stale
-  /// zeros for total_taps() ticks — exactly the re-acquisition gap the
-  /// shadow exists to remove. Control-plane only.
+  /// the x/u histories and the NLMS power term all match what they would
+  /// be had this engine streamed the samples itself. Pair with
+  /// set_weights() to install a shadow filter's converged state: weights
+  /// without their history would multiply stale zeros for total_taps()
+  /// ticks — exactly the re-acquisition gap the shadow exists to remove.
+  /// Control-plane only.
   MUTE_RT_UNSAFE void prime_history(std::span<const double> x_newest_first);
 
-  /// Current weight L2 norm (maintained incrementally by adapt()).
+  /// Current weight L2 norm (maintained by every weight update).
   double weight_norm() const;
   /// Filtered-reference window power ||u||^2 — the NLMS denominator.
   /// Maintained incrementally per push and re-synced exactly (kernel
@@ -102,7 +126,10 @@ class FxlmsEngine {
   /// cannot accumulate over long runs.
   double reference_power() const { return u_power_; }
   /// Times the divergence guard rolled the weights back.
-  std::size_t rollback_count() const { return rollback_count_; }
+  std::size_t rollback_count() const {
+    settle();
+    return rollback_count_;
+  }
 
   /// Restore the last-known-good snapshot (no-op when the guard is off).
   /// Called on entry to a link-fault hold: any updates made from the
@@ -143,23 +170,40 @@ class FxlmsEngine {
   void reset();
 
  private:
+  // Apply a pending adapt() step through the unfused kernel.
+  void settle() const;
+  // Divergence guard after a weight update whose new ||w||^2 is `norm2`:
+  // rolls back or snapshots. Returns true when it rolled back.
+  bool guard_update(double norm2) const;
+  // Admit the filtered reference u(t+N) and track ||u||^2.
+  void push_filtered(double u_new);
+  // Filtered reference of the window x_hist_ holds now.
+  double filtered_reference() const;
+
   FxlmsOptions opts_;
-  std::vector<double> w_;  // [noncausal | causal], newest-first order
   // Doubled-buffer rings, newest-first windows aligned with w_:
   // x_hist_.data()[i] = x(t - (i - N)), u_hist_ is the filtered reference.
+  // x_hist_ also covers the secondary-path estimate (see the class
+  // comment), so it may be longer than w_.
   mute::dsp::RingHistory<double> x_hist_;
   mute::dsp::RingHistory<double> u_hist_;
-  mute::dsp::FirFilter sec_path_filter_;
   std::vector<double> sec_path_;
   double u_power_ = 0.0;
   std::size_t pushes_since_power_sync_ = 0;
 
-  // Divergence guard state (preallocated; adapt() stays allocation-free).
-  std::vector<double> good_w_;   // last-known-good snapshot
-  double w_norm2_ = 0.0;         // ||w||^2 after the latest update
-  double good_norm2_ = 0.0;
-  std::size_t since_snapshot_ = 0;
-  std::size_t rollback_count_ = 0;
+  // Weights and divergence-guard state (preallocated; the per-sample path
+  // stays allocation-free). `mutable` because const readers settle a
+  // pending step.
+  mutable std::vector<double> w_;  // [noncausal | causal], newest-first
+  mutable std::vector<double> good_w_;  // last-known-good snapshot
+  mutable double w_norm2_ = 0.0;        // ||w||^2 after the latest update
+  mutable double good_norm2_ = 0.0;
+  mutable std::size_t since_snapshot_ = 0;
+  mutable std::size_t rollback_count_ = 0;
+  // The step adapt() recorded: w <- step_keep_ * w + step_gain_ * u.
+  mutable bool step_pending_ = false;
+  double step_keep_ = 1.0;
+  double step_gain_ = 0.0;
 };
 
 }  // namespace mute::adaptive

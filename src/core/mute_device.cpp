@@ -449,6 +449,9 @@ void MuteDevice::associate(const RelayMeasurement& chosen) {
   opts.fxlms.noncausal_taps = std::min<std::size_t>(
       config_.max_noncausal_taps,
       lookahead_taps(usable, config_.sample_rate));
+  if (lanc_.has_value()) {
+    retired_rollbacks_ += lanc_->engine().rollback_count();
+  }
   lanc_.emplace(calibration_.impulse_response, opts);
   lanc_->set_relay(chosen.relay_index);
   if (config_.enable_shadow && config_.relay_count > 1 &&
@@ -559,6 +562,11 @@ void MuteDevice::reset_adverse() {
   adverse_cause_ = AdverseCause::kNone;
   adverse_rival_ = 0;
   adverse_rounds_ = 0;
+}
+
+std::size_t MuteDevice::weight_rollback_count() const {
+  return retired_rollbacks_ +
+         (lanc_.has_value() ? lanc_->engine().rollback_count() : 0);
 }
 
 std::size_t MuteDevice::noncausal_taps() const {

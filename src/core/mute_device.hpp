@@ -143,6 +143,10 @@ class MuteDevice {
   }
   /// Times the device entered kHolding.
   std::size_t hold_count() const { return hold_count_; }
+  /// Times the LANC divergence guard rolled the weights back, summed over
+  /// every controller the device has built (the block engine has no
+  /// guard and adds nothing).
+  std::size_t weight_rollback_count() const;
 
   // --- Failover diagnostics -------------------------------------------
   /// Times the association was re-targeted via State::kHandoff.
@@ -238,8 +242,11 @@ class MuteDevice {
 
   // The running controller. Created at the first association and kept for
   // the life of the device afterwards: it owns the per-(relay, profile)
-  // filter cache that makes re-association and handoff warm.
+  // filter cache that makes re-association and handoff warm. A cold
+  // re-association (handoff disabled) rebuilds it; `retired_rollbacks_`
+  // keeps the guard count of the controllers it replaced.
   std::optional<LancController> lanc_;
+  std::size_t retired_rollbacks_ = 0;
 
   // Link supervision (empty when disabled). `sanitized_` is the per-tick
   // squelched copy of the relay feed, preallocated so tick() never

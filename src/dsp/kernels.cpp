@@ -137,6 +137,86 @@ void scaled_accumulate(double* acc_in, const double* x_in, double s,
   for (std::size_t i = 0; i < n; ++i) acc[i] += s * x[i];
 }
 
+// The fused FxLMS pass. It is written on explicit eight-double lane
+// vectors rather than in the scalar-unrolled style above: with three
+// reductions and a store in one loop, the auto-vectorizer turns that style
+// into a shuffle-heavy loop slower than the three separate kernels
+// (DESIGN.md §10.2). Each vector lane is one of the scalar kernels'
+// accumulators, the operations are lane-wise, contraction is off and the
+// tail and fold are theirs, so every result keeps their bits on every
+// clone (the baseline clone splits a vector into 2-lane halves, AVX2 into
+// 4-lane halves; neither crosses lanes).
+namespace {
+
+using Lanes = double __attribute__((vector_size(8 * sizeof(double))));
+
+inline void load_lanes(Lanes& v, const double* p) {
+  __builtin_memcpy(&v, p, sizeof v);
+}
+
+inline void store_lanes(double* p, const Lanes& v) {
+  __builtin_memcpy(p, &v, sizeof v);
+}
+
+// The scalar kernels' fold of their eight accumulators and the tail.
+inline double fold_lanes(const Lanes& s, double tail) {
+  return (((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))) +
+         tail;
+}
+
+}  // namespace
+
+MUTE_KERNEL_CLONES
+AxpyDots axpy_leaky_norm_dots(double* w_in, const double* u_in, double keep,
+                              double g, std::size_t n, const double* x_in,
+                              const double* h_in, std::size_t m) {
+  double* MUTE_KERNEL_RESTRICT w = w_in;
+  const double* MUTE_KERNEL_RESTRICT u = u_in;
+  const double* MUTE_KERNEL_RESTRICT x = x_in;
+  const double* MUTE_KERNEL_RESTRICT h = h_in;
+  Lanes norm2 = {}, wx = {}, hx = {};
+  Lanes wv = {}, uv = {}, xv = {}, hv = {};
+  const std::size_t n8 = n - n % 8;
+  const std::size_t m8 = m - m % 8;
+  const std::size_t both = n8 < m8 ? n8 : m8;
+  std::size_t i = 0;
+  for (; i < both; i += 8) {
+    load_lanes(wv, w + i);
+    load_lanes(uv, u + i);
+    load_lanes(xv, x + i);
+    load_lanes(hv, h + i);
+    wv = keep * wv + g * uv;
+    store_lanes(w + i, wv);
+    norm2 += wv * wv;
+    wx += wv * xv;
+    hx += hv * xv;
+  }
+  for (; i < n8; i += 8) {  // weights longer than the secondary path
+    load_lanes(wv, w + i);
+    load_lanes(uv, u + i);
+    load_lanes(xv, x + i);
+    wv = keep * wv + g * uv;
+    store_lanes(w + i, wv);
+    norm2 += wv * wv;
+    wx += wv * xv;
+  }
+  for (i = both; i < m8; i += 8) {  // secondary path longer than the weights
+    load_lanes(xv, x + i);
+    load_lanes(hv, h + i);
+    hx += hv * xv;
+  }
+  double norm2_tail = 0.0, wx_tail = 0.0, hx_tail = 0.0;
+  for (i = n8; i < n; ++i) {
+    const double wi = keep * w[i] + g * u[i];
+    w[i] = wi;
+    norm2_tail += wi * wi;
+    wx_tail += wi * x[i];
+  }
+  for (i = m8; i < m; ++i) hx_tail += h[i] * x[i];
+  return {fold_lanes(norm2, norm2_tail), fold_lanes(wx, wx_tail),
+          fold_lanes(hx, hx_tail)};
+}
+
 // The interleaved-complex family below has no reduction, so no lane
 // splitting is needed: each complex element is an independent 4-flop (or
 // 6-flop) update the vectorizer can pack directly from the interleaved
@@ -231,6 +311,19 @@ double axpy_leaky_norm(double* w, const double* x, double keep, double g,
 
 void scaled_accumulate(double* acc, const double* x, double s, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) acc[i] += s * x[i];
+}
+
+AxpyDots axpy_leaky_norm_dots(double* w, const double* u, double keep,
+                              double g, std::size_t n, const double* x,
+                              const double* h, std::size_t m) {
+  AxpyDots r{0.0, 0.0, 0.0};
+  for (std::size_t i = 0; i < n; ++i) {
+    w[i] = keep * w[i] + g * u[i];
+    r.norm2 += w[i] * w[i];
+    r.wx += w[i] * x[i];
+  }
+  for (std::size_t i = 0; i < m; ++i) r.hx += h[i] * x[i];
+  return r;
 }
 
 void cmul_accumulate(double* acc, const double* a, const double* b,

@@ -7,7 +7,7 @@
 /// Shared hot-path DSP kernels.
 ///
 /// Every per-sample loop in the adaptive engines and the FIR filter funnels
-/// through these four primitives, so they carry the whole real-time budget
+/// through these primitives, so they carry the whole real-time budget
 /// (DESIGN.md §10). Contracts:
 ///
 ///   dot(a, b, n)                 sum_i a[i] * b[i]. `a` and `b` must not
@@ -20,6 +20,15 @@
 ///                                not alias.
 ///   scaled_accumulate(acc, ...)  acc[i] += s * x[i] — the tap-major inner
 ///                                step of block FIR filtering. No aliasing.
+///   axpy_leaky_norm_dots(w, u, keep, g, n, x, h, m)
+///                                one pass of the FxLMS sample: the
+///                                axpy_leaky_norm update of w over n taps,
+///                                then {||w||^2, dot(w, x, n), dot(h, x, m)}
+///                                with the NEW w. x holds max(n, m) values.
+///                                Each result is bit-identical to the
+///                                separate kernel (same lanes, tail and
+///                                fold order; DESIGN.md §10.2). `w` must
+///                                alias none of u, x, h.
 ///
 /// The frequency-domain block engines (adaptive::BlockFdaf,
 /// adaptive::FdFxlmsEngine) and the Welch estimators add a second family
@@ -67,6 +76,17 @@ MUTE_RT_SAFE double axpy_leaky_norm(double* w, const double* x, double keep,
 MUTE_RT_SAFE void scaled_accumulate(double* acc, const double* x, double s,
                                     std::size_t n);
 
+/// The three reductions of axpy_leaky_norm_dots.
+struct AxpyDots {
+  double norm2;  // ||w||^2 after the update
+  double wx;     // dot(w, x, n) with the updated w
+  double hx;     // dot(h, x, m)
+};
+MUTE_RT_SAFE AxpyDots axpy_leaky_norm_dots(double* w, const double* u,
+                                           double keep, double g,
+                                           std::size_t n, const double* x,
+                                           const double* h, std::size_t m);
+
 // Interleaved-complex kernels (n counts complex elements; no aliasing
 // between the output and any input).
 MUTE_RT_SAFE void cmul_accumulate(double* acc, const double* a,
@@ -91,6 +111,9 @@ double energy(const double* x, std::size_t n);
 double axpy_leaky_norm(double* w, const double* x, double keep, double g,
                        std::size_t n);
 void scaled_accumulate(double* acc, const double* x, double s, std::size_t n);
+AxpyDots axpy_leaky_norm_dots(double* w, const double* u, double keep,
+                              double g, std::size_t n, const double* x,
+                              const double* h, std::size_t m);
 void cmul_accumulate(double* acc, const double* a, const double* b,
                      std::size_t n);
 void cmul_conj_scaled(double* out, const double* a, const double* b,

@@ -12,9 +12,9 @@ namespace mute::sim {
 namespace {
 
 // Copy a finished device's diagnostics into `result`: noncausal taps,
-// calibration error, handoff/shadow-handoff/hold counts, re-acquisition
-// gaps, per-relay active time, link-monitor fault tallies and the usable
-// lookahead left after `latency`.
+// calibration error, handoff/shadow-handoff/hold/weight-rollback counts,
+// re-acquisition gaps, per-relay active time, link-monitor fault tallies
+// and the usable lookahead left after `latency`.
 void read_device_diagnostics(const core::MuteDevice& device,
                              const core::LatencyBudget& latency,
                              SystemResult& result) {
@@ -24,6 +24,7 @@ void read_device_diagnostics(const core::MuteDevice& device,
   result.handoff_count = device.handoff_count();
   result.shadow_handoff_count = device.shadow_handoff_count();
   result.device_hold_count = device.hold_count();
+  result.weight_rollbacks = device.weight_rollback_count();
   result.reacquisition_gap_s = device.last_reacquisition_gap_s();
   result.max_reacquisition_gap_s = device.max_reacquisition_gap_s();
   result.relay_active_s.resize(relay_count);

@@ -1,11 +1,13 @@
 // Hot-path kernel layer (DESIGN.md §10): the vectorization-friendly
 // kernels must agree with their naive reference implementations to
 // reassociation error on every size class (empty, sub-unroll, odd tails,
-// denormal inputs); the doubled-buffer ring histories must be bit-identical
+// denormal inputs); the fused FxLMS pass must be bit-identical to the three
+// kernels it replaces; the doubled-buffer ring histories must be bit-identical
 // to a shift-register reference across several wraparounds; and the block
 // FIR path must match the scalar path sample for sample.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -74,6 +76,74 @@ TEST(Kernels, AxpyLeakyNormMatchesNaive) {
     EXPECT_NEAR(norm_fast, norm_ref,
                 1e-12 * (norm_ref + static_cast<double>(n)))
         << "n=" << n;
+  }
+}
+
+// The fused FxLMS pass must give the bits of the three kernels it
+// replaces: axpy_leaky_norm, then dot(w, x, n) with the new weights and
+// dot(h, x, m). n is the weight length, m the secondary-path length; the
+// grid covers the engine's shapes (395/256, 246/96) and every tail class,
+// plus a path longer than the weights (x then holds m values).
+TEST(Kernels, AxpyLeakyNormDotsMatchesSeparateKernelsExactly) {
+  struct Shape {
+    std::size_t n, m;
+  };
+  std::vector<Shape> shapes;
+  for (const std::size_t n : {1, 7, 8, 9, 96, 246, 256, 395, 1024}) {
+    for (const std::size_t m : {std::size_t{1}, std::size_t{7},
+                                std::size_t{96}, std::size_t{256}, n}) {
+      if (m <= n) shapes.push_back({n, m});
+    }
+  }
+  for (const std::size_t n : {1, 7, 96}) shapes.push_back({n, 256});
+  for (const auto [n, m] : shapes) {
+    const auto seed = static_cast<unsigned>(n * 1000 + m);
+    auto w_fused = random_vec(n, 900 + seed, 0.1);
+    auto w_ref = w_fused;
+    const auto u = random_vec(n, 910 + seed);
+    const auto x = random_vec(std::max(n, m), 920 + seed);
+    const auto h = random_vec(m, 930 + seed, 0.3);
+    const double keep = 0.9997;
+    const double g = -3.7e-3;
+    const k::AxpyDots got = k::axpy_leaky_norm_dots(
+        w_fused.data(), u.data(), keep, g, n, x.data(), h.data(), m);
+    const double norm2 =
+        k::axpy_leaky_norm(w_ref.data(), u.data(), keep, g, n);
+    ASSERT_EQ(got.norm2, norm2) << "n=" << n << " m=" << m;
+    ASSERT_EQ(got.wx, k::dot(w_ref.data(), x.data(), n))
+        << "n=" << n << " m=" << m;
+    ASSERT_EQ(got.hx, k::dot(h.data(), x.data(), m))
+        << "n=" << n << " m=" << m;
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(w_fused[i], w_ref[i]) << "n=" << n << " m=" << m << " i=" << i;
+    }
+  }
+}
+
+TEST(Kernels, AxpyLeakyNormDotsMatchesNaive) {
+  for (const std::size_t n : kSizes) {
+    for (const std::size_t m : {std::size_t{0}, n / 2, n, n + 9}) {
+      const auto seed = static_cast<unsigned>(n * 100 + m);
+      auto w_fast = random_vec(n, 940 + seed, 0.1);
+      auto w_ref = w_fast;
+      const auto u = random_vec(n, 950 + seed);
+      const auto x = random_vec(std::max(n, m), 960 + seed);
+      const auto h = random_vec(m, 970 + seed);
+      const auto fast = k::axpy_leaky_norm_dots(
+          w_fast.data(), u.data(), 0.9997, -3.7e-3, n, x.data(), h.data(), m);
+      const auto ref = k::naive::axpy_leaky_norm_dots(
+          w_ref.data(), u.data(), 0.9997, -3.7e-3, n, x.data(), h.data(), m);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(w_fast[i], w_ref[i]) << "n=" << n << " m=" << m;
+      }
+      const auto tol = [&](double want, std::size_t len) {
+        return 1e-12 * (std::abs(want) + static_cast<double>(len));
+      };
+      EXPECT_NEAR(fast.norm2, ref.norm2, tol(ref.norm2, n))
+          << "n=" << n << " m=" << m;
+      EXPECT_NEAR(fast.wx, ref.wx, tol(ref.wx, n)) << "n=" << n << " m=" << m;
+      EXPECT_NEAR(fast.hx, ref.hx, tol(ref.hx, m)) << "n=" << n << " m=" << m;
+    }
   }
 }
 
@@ -200,6 +270,18 @@ TEST(Kernels, SurviveDenormalInputs) {
   EXPECT_TRUE(std::isfinite(norm));
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(w[i], w_ref[i]);
   EXPECT_DOUBLE_EQ(norm, norm_ref);
+
+  const auto fused = k::axpy_leaky_norm_dots(w.data(), a.data(), 0.999, 1e-6,
+                                             n, b.data(), a.data(), n);
+  const auto fused_ref = k::naive::axpy_leaky_norm_dots(
+      w_ref.data(), a.data(), 0.999, 1e-6, n, b.data(), a.data(), n);
+  EXPECT_TRUE(std::isfinite(fused.norm2));
+  EXPECT_TRUE(std::isfinite(fused.wx));
+  EXPECT_TRUE(std::isfinite(fused.hx));
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(w[i], w_ref[i]);
+  EXPECT_DOUBLE_EQ(fused.norm2, fused_ref.norm2);
+  EXPECT_DOUBLE_EQ(fused.wx, fused_ref.wx);
+  EXPECT_DOUBLE_EQ(fused.hx, fused_ref.hx);
 }
 
 TEST(RingHistory, MatchesShiftRegisterAcrossWraps) {

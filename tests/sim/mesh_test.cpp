@@ -208,6 +208,21 @@ TEST(MeshSim, FailoverDiagnosticsMatchTheDeviceSim) {
   EXPECT_EQ(m.link_fault_episodes, device.link_fault_episodes);
   EXPECT_EQ(m.link_fault_flags, device.link_fault_flags);
   EXPECT_EQ(m.usable_lookahead_s, device.usable_lookahead_s);
+  EXPECT_EQ(m.weight_rollbacks, device.weight_rollbacks);
+}
+
+TEST(DeviceSim, ReportsTheLancGuardRollbacks) {
+  // On pink noise the device's default step diverges, and a small weight
+  // norm limit makes the divergence guard roll the weights back over and
+  // over; the device sim must count those rollbacks, not report 0.
+  DeviceSimConfig cfg;
+  cfg.duration_s = 4.0;
+  cfg.use_rf_link = false;
+  cfg.device.calibration_s = 1.0;
+  cfg.device.weight_norm_limit = 1.0;
+  audio::PinkNoiseSource noise(0.1, 7);
+  const SystemResult r = run_device_simulation(noise, cfg);
+  EXPECT_GT(r.weight_rollbacks, 0u);
 }
 
 TEST(MeshSim, SupervisionRequiresItsEvidenceSources) {

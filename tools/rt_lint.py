@@ -116,6 +116,7 @@ REQUIRED_ROOTS = [
     "mute::dsp::kernels::dot",
     "mute::dsp::kernels::energy",
     "mute::dsp::kernels::axpy_leaky_norm",
+    "mute::dsp::kernels::axpy_leaky_norm_dots",
     "mute::dsp::kernels::scaled_accumulate",
     "mute::dsp::kernels::cmul_accumulate",
     "mute::dsp::kernels::cmul_conj_scaled",
