@@ -340,6 +340,7 @@ TenantStats FleetRuntime::snapshot(const Tenant& t, std::size_t slot) const {
   if (t.ear != nullptr) {
     s.handoff_count = t.ear->device().handoff_count();
     s.hold_count = t.ear->device().hold_count();
+    s.weight_rollbacks = t.ear->device().weight_rollback_count();
   }
   const MonotonicArena& arena = arenas_.arena(slot);
   s.arena_used = arena.used();

@@ -99,6 +99,7 @@ struct TenantStats {
   // Device diagnostics at snapshot time.
   std::size_t handoff_count = 0;
   std::size_t hold_count = 0;
+  std::size_t weight_rollbacks = 0;  // LANC divergence-guard firings
 
   // Arena accounting (capacity-sizing signal).
   std::size_t arena_used = 0;

@@ -1,9 +1,14 @@
 #include "dsp/fft.hpp"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/contracts.hpp"
 #include "common/math_utils.hpp"
 #include "common/rng.hpp"
 
@@ -126,6 +131,135 @@ TEST(Fft, BinFrequencyMapsCorrectly) {
   EXPECT_DOUBLE_EQ(bin_frequency(0, 1024, 16000.0), 0.0);
   EXPECT_DOUBLE_EQ(bin_frequency(512, 1024, 16000.0), 8000.0);
   EXPECT_NEAR(bin_frequency(64, 1024, 16000.0), 1000.0, 1e-12);
+}
+
+// The plain radix-2 DIT the library's transform must match bit for bit:
+// Gold-Rader bit reversal, then one stage at a time with one butterfly per
+// pair, on twiddles cos/sin(-2 pi k / len) up to 65536 points and on the
+// twiddle recurrence past that.
+void reference_fft(ComplexSignal& x, bool inverse) {
+  const std::size_t n = x.size();
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(x[i], x[j]);
+  }
+  auto* d = reinterpret_cast<double*>(x.data());
+  const double sign = inverse ? -1.0 : 1.0;
+  std::vector<double> wr, wi;
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
+    wr.assign(half, 1.0);
+    wi.assign(half, 0.0);
+    if (n <= 65536) {
+      const double angle = -kTwoPi / static_cast<double>(len);
+      for (std::size_t k = 0; k < half; ++k) {
+        wr[k] = std::cos(angle * static_cast<double>(k));
+        wi[k] = sign * std::sin(angle * static_cast<double>(k));
+      }
+    } else {
+      const double angle = sign * -kTwoPi / static_cast<double>(len);
+      const double wr0 = std::cos(angle), wi0 = std::sin(angle);
+      for (std::size_t k = 1; k < half; ++k) {
+        wr[k] = wr[k - 1] * wr0 - wi[k - 1] * wi0;
+        wi[k] = wr[k - 1] * wi0 + wi[k - 1] * wr0;
+      }
+    }
+    for (std::size_t i = 0; i < n; i += len) {
+      for (std::size_t k = 0; k < half; ++k) {
+        double* pa = d + 2 * (i + k);
+        double* pb = d + 2 * (i + k + half);
+        const double vr = pb[0] * wr[k] - pb[1] * wi[k];
+        const double vi = pb[0] * wi[k] + pb[1] * wr[k];
+        const double ur = pa[0], ui = pa[1];
+        pa[0] = ur + vr;
+        pa[1] = ui + vi;
+        pb[0] = ur - vr;
+        pb[1] = ui - vi;
+      }
+    }
+  }
+  if (inverse) {
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (auto& c : x) c *= inv_n;
+  }
+}
+
+// Index of the first entry whose bytes differ, or -1.
+long first_mismatch(const ComplexSignal& a, const ComplexSignal& b) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a[i], &b[i], sizeof(Complex)) != 0) {
+      return static_cast<long>(i);
+    }
+  }
+  return -1;
+}
+
+enum class Input { kGaussian, kFirstHalf, kSignedZeros, kAllZeros, kSubnormal };
+
+ComplexSignal make_input(std::size_t n, Input kind, Rng& rng) {
+  ComplexSignal x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double re = rng.gaussian(), im = rng.gaussian();
+    switch (kind) {
+      case Input::kGaussian:
+        break;
+      case Input::kFirstHalf:  // GccPhatPlan's zero-padded record
+        if (n > 1 && i >= n / 2) re = im = 0.0;
+        break;
+      case Input::kSignedZeros:  // exact zeros of both signs among values
+        if (i % 3 == 0) re = std::copysign(0.0, re);
+        if (i % 4 == 1) im = std::copysign(0.0, im);
+        if (i % 5 == 2) re = im = -0.0;
+        break;
+      case Input::kAllZeros:  // a silent record: the zero signs survive
+        re = std::copysign(0.0, re);
+        im = std::copysign(0.0, im);
+        break;
+      case Input::kSubnormal:
+        re *= 1e-310;
+        im *= std::numeric_limits<double>::denorm_min() * 1e3;
+        break;
+    }
+    x[i] = Complex(re, im);
+  }
+  return x;
+}
+
+TEST(Fft, BitIdenticalToRadix2Reference) {
+  Rng rng(19);
+  for (std::size_t n = 1; n <= 131072; n <<= 1) {
+    for (const Input kind :
+         {Input::kGaussian, Input::kFirstHalf, Input::kSignedZeros,
+          Input::kAllZeros, Input::kSubnormal}) {
+      for (const bool inverse : {false, true}) {
+        const ComplexSignal x = make_input(n, kind, rng);
+        ComplexSignal got = x, want = x;
+        if (inverse) {
+          ifft_inplace(got);
+        } else {
+          fft_inplace(got);
+        }
+        reference_fft(want, inverse);
+        EXPECT_EQ(first_mismatch(got, want), -1)
+            << "n=" << n << " input=" << static_cast<int>(kind)
+            << (inverse ? " inverse" : " forward");
+      }
+    }
+  }
+}
+
+TEST(Fft, TransformDoesNotAllocate) {
+  Rng rng(23);
+  ComplexSignal x = make_input(32768, Input::kGaussian, rng);
+  fft_inplace(x);  // first call builds the twiddle table
+  RtAllocationGuard guard(RtAllocationGuard::Mode::kCount, "fft-32768");
+  fft_inplace(x);
+  ifft_inplace(x);
+  if (RtAllocationGuard::interposition_enabled()) {
+    EXPECT_EQ(guard.allocations_since_entry(), 0u);
+  }
 }
 
 // Time-shift property: a circular shift multiplies the spectrum by a

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <vector>
 
+#include "audio/generators.hpp"
 #include "audio/source.hpp"
 #include "common/contracts.hpp"
 #include "common/error.hpp"
@@ -74,6 +75,25 @@ TEST(Fleet, SingleTenantIsBitIdenticalToRunDeviceSimulation) {
   }
   EXPECT_EQ(mismatches, 0u)
       << "fleet tenant diverged from run_device_simulation";
+}
+
+TEST(Fleet, TenantStatsCountTheDeviceSimRollbacks) {
+  // On pink noise a small weight norm limit makes the LANC divergence
+  // guard roll the weights back over and over (DeviceSim's rollback test);
+  // a single fleet tenant must report the device sim's count.
+  DeviceSimConfig cfg = quick_cfg();
+  cfg.device.weight_norm_limit = 1.0;
+  audio::PinkNoiseSource noise(0.1, 7);
+  const SystemResult ref = run_device_simulation(noise, cfg);
+  ASSERT_GT(ref.weight_rollbacks, 0u);
+
+  const FleetProfile profile = make_fleet_profile(noise, cfg);
+  FleetRuntime fleet(quick_fleet(2));
+  const std::uint64_t id =
+      fleet.admit(fleet.add_profile(profile), cfg.device.seed);
+  fleet.run_blocks(blocks_for(fleet, profile.length()));
+  ASSERT_FALSE(fleet.is_live(id));  // evicted: stats are the final snapshot
+  EXPECT_EQ(fleet.stats(id).weight_rollbacks, ref.weight_rollbacks);
 }
 
 TEST(Fleet, OutputIsInvariantAcrossWorkerCounts) {

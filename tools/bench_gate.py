@@ -38,6 +38,8 @@ PINNED = [
     "BM_KernelEnergy/1024",
     "BM_KernelAxpyLeakyNorm/1024",
     "BM_KernelScaledAccumulate/1024",
+    "BM_Fft/128",
+    "BM_Fft/32768",
     "BM_FirFilterPerSample/1024",
     "BM_FirFilterPerSample/2048",
     "BM_FxlmsCycle/1024",
@@ -46,6 +48,8 @@ PINNED = [
     "BM_AdaptiveFirStep/1024",
     "BM_ShadowObserve/704",
     "BM_LinkMonitor",
+    "BM_FmModDemod",
+    "BM_Resample16kTo256k",
     "BM_FleetThroughput/8",
     "BM_DeviceTick",
     "BM_RelaySelectRound/1",
