@@ -55,7 +55,7 @@ int main() {
     // Single reference: hears a MIX of both sources (with different gains
     // than the ear does — the fundamental single-reference limitation).
     adaptive::FxlmsEngine single(hse, opts);
-    adaptive::MultiFxlmsEngine multi(hse, {opts, opts});
+    adaptive::MultiFxlmsEngine multi(hse, opts, 2);
     mute::dsp::FirFilter plant_s(hse), plant_m(hse);
     mute::dsp::FirFilter fda_s({0.0, 0.0, 0.8, 0.2}), fda_m({0.0, 0.0, 0.8, 0.2});
     mute::dsp::FirFilter fdb_s({0.0, 0.0, 0.0, -0.6, 0.3}),
@@ -157,7 +157,7 @@ int main() {
       d[i] = plant.process(x[i]);
     }
     eval::Table table({"after_s", "NLMS_misalign_dB", "FDAF_misalign_dB"});
-    adaptive::AdaptiveFir nlms(256, {.mu = 0.5});
+    adaptive::AdaptiveFir nlms(256, 0.5);
     adaptive::BlockFdaf fdaf({.taps = 256, .mu = 0.9, .power_alpha = 0.6});
     std::size_t pos = 0;
     for (double seconds : {0.5, 1.0, 2.0, 4.0}) {

@@ -217,8 +217,7 @@ void BM_MultiLancTick(benchmark::State& state) {
   adaptive::FxlmsOptions opts;
   opts.causal_taps = 256;
   opts.noncausal_taps = 64;
-  adaptive::MultiFxlmsEngine multi(
-      hse, std::vector<adaptive::FxlmsOptions>(channels, opts));
+  adaptive::MultiFxlmsEngine multi(hse, opts, channels);
   Rng rng(11);
   Signal refs(channels);
   for (auto _ : state) {

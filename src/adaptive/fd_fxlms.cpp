@@ -33,7 +33,6 @@ FdFxlmsEngine::FdFxlmsEngine(std::vector<double> secondary_path_estimate,
                              FdFxlmsOptions options)
     : opts_(options), sec_path_filter_(std::move(secondary_path_estimate)) {
   ensure(opts_.mu > 0, "mu must be positive");
-  ensure(opts_.epsilon > 0, "epsilon must be positive");
   ensure(opts_.leakage >= 0 && opts_.leakage < 1, "leakage in [0,1)");
   ensure(opts_.causal_taps + opts_.noncausal_taps > 0,
          "engine needs at least one tap");
@@ -156,7 +155,7 @@ void FdFxlmsEngine::adapt_block(std::span<const Sample> e) {
     kernels::cmul_conj_scaled(as_doubles(grad_.data()),
                               as_doubles(u_spec_ring_.data() + slot * fft_),
                               as_doubles(e_spec_.data()), power_sum_.data(),
-                              opts_.epsilon, fft_);
+                              kNlmsEpsilon, fft_);
     double* wp = as_doubles(w_parts_.data() + p * fft_);
     const double* g = as_doubles(grad_.data());
     if (keep == 1.0) {

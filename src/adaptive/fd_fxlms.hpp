@@ -4,6 +4,7 @@
 #include <span>
 #include <vector>
 
+#include "adaptive/nlms.hpp"
 #include "common/rt_annotations.hpp"
 #include "common/types.hpp"
 #include "dsp/fir_filter.hpp"
@@ -43,7 +44,6 @@ struct FdFxlmsOptions {
   /// it has left after `noncausal_taps` — see LancOptions::fd_block.
   std::size_t block = 0;
   double mu = 0.5;          // per-bin NLMS-normalized step
-  double epsilon = 1e-6;    // bin-power regularizer
   double leakage = 0.0;     // leakage per adapt (keep = 1 - mu*leakage,
                             // same semantics as FxlmsOptions::leakage)
   FdConstraint constraint = FdConstraint::kRoundRobin;

@@ -26,7 +26,6 @@ BlockFdaf::BlockFdaf(Options options)
       x_prev_(block_, 0.0), bin_power_(fft_, 0.0),
       xf_(fft_), yf_(fft_), ef_(fft_), grad_(fft_) {
   ensure(options.mu > 0, "mu must be positive");
-  ensure(options.epsilon > 0, "epsilon must be positive");
   ensure(options.power_alpha > 0 && options.power_alpha < 1,
          "power_alpha in (0,1)");
 }
@@ -80,7 +79,7 @@ void BlockFdaf::step_block(std::span<const Sample> x,
 
   // Gradient: conj(X) .* E, normalized per bin.
   kernels::cmul_conj_scaled(as_doubles(grad_), as_doubles(xf_),
-                            as_doubles(ef_), bin_power_.data(), opts_.epsilon,
+                            as_doubles(ef_), bin_power_.data(), kEpsilon,
                             fft_);
   if (opts_.constrained) {
     // Constrain the gradient to a causal filter of length block_: go to

@@ -32,14 +32,16 @@ namespace mute::adaptive {
 /// normalizer converges on the same data (-10 dB).
 class BlockFdaf {
  public:
+  /// Bin-power regularizer of the per-bin normalized step.
+  static constexpr double kEpsilon = 1e-8;
+
   struct Options {
     std::size_t taps = 512;   // filter length (rounded up to a power of 2)
     double mu = 0.5;          // per-bin NLMS step
-    double epsilon = 1e-8;    // bin-power regularizer
     double power_alpha = 0.9; // EMA for the per-bin power estimate; seeded
                               // from the first block's own power so the
-                              // first update never normalizes by epsilon
-                              // alone (cold-start divergence)
+                              // first update never normalizes by
+                              // kEpsilon alone (cold-start divergence)
     bool constrained = true;  // gradient constraint (zero the tail)
   };
 

@@ -20,11 +20,9 @@ FxlmsEngine::FxlmsEngine(std::vector<double> secondary_path_estimate,
       good_w_(w_.size(), 0.0) {
   ensure(opts_.causal_taps >= 1, "need at least one causal tap");
   ensure(opts_.mu > 0, "mu must be positive");
-  ensure(opts_.epsilon > 0, "epsilon must be positive");
   ensure(opts_.leakage >= 0 && opts_.leakage < 1, "leakage in [0,1)");
   ensure(opts_.weight_norm_limit >= 0, "weight norm limit must be >= 0");
   ensure(opts_.min_excitation >= 0, "min excitation must be >= 0");
-  ensure(opts_.snapshot_interval >= 1, "snapshot interval must be >= 1");
   ensure(!sec_path_.empty(), "secondary path estimate must be non-empty");
 }
 
@@ -38,16 +36,7 @@ double FxlmsEngine::filtered_reference() const {
 void FxlmsEngine::push_filtered(double u_new) {
   const double u_old = u_hist_.oldest();
   u_hist_.push(u_new);
-  if (++pushes_since_power_sync_ >= w_.size()) {
-    // Exact re-sync: the incremental add/subtract below leaves a rounding
-    // residue each push, and over ~1e6 pushes that residue can dwarf the
-    // true window power once the reference gets quiet. One O(taps)
-    // recompute per taps pushes keeps the amortized cost O(1).
-    pushes_since_power_sync_ = 0;
-    u_power_ = dsp::kernels::energy(u_hist_.data(), w_.size());
-  } else {
-    u_power_ += u_new * u_new - u_old * u_old;
-  }
+  u_power_.push(u_new, u_old, u_hist_.data(), w_.size());
 }
 
 void FxlmsEngine::push_reference(Sample x_advanced) {
@@ -70,10 +59,11 @@ void FxlmsEngine::adapt(Sample error) {
   MUTE_RT_SCOPE("FxlmsEngine::adapt");
   settle();
   if (opts_.min_excitation > 0.0 &&
-      u_power_ < opts_.min_excitation * static_cast<double>(w_.size())) {
+      u_power_.value() <
+          opts_.min_excitation * static_cast<double>(w_.size())) {
     return;  // reference too weak to identify anything; updating is noise
   }
-  const double denom = std::max(u_power_, 0.0) + opts_.epsilon;
+  const double denom = std::max(u_power_.value(), 0.0) + kNlmsEpsilon;
   step_gain_ = -(opts_.mu * static_cast<double>(error) / denom);
   step_keep_ = 1.0 - opts_.mu * opts_.leakage;
   step_pending_ = true;
@@ -102,7 +92,7 @@ bool FxlmsEngine::guard_update(double norm2) const {
     ++rollback_count_;
     return true;
   }
-  if (++since_snapshot_ >= opts_.snapshot_interval) {
+  if (++since_snapshot_ >= kSnapshotInterval) {
     since_snapshot_ = 0;
     // Snapshot only a comfortably-converged filter: weights hovering near
     // the limit are themselves suspect rollback targets. The stability
@@ -214,8 +204,7 @@ void FxlmsEngine::retarget_noncausal(std::size_t new_noncausal,
   opts_.noncausal_taps = new_noncausal;
   x_hist_.assign(std::max(new_total, sec_path_.size()), 0.0);
   u_hist_.assign(new_total, 0.0);
-  u_power_ = 0.0;
-  pushes_since_power_sync_ = 0;
+  u_power_.reset();
   w_norm2_ = norm2;
   // The remap is a subset of the live weights, so its norm is bounded by
   // theirs — adopt it unconditionally as the rollback target (the guard
@@ -238,8 +227,7 @@ void FxlmsEngine::reset_history() {
   settle();
   x_hist_.fill(0.0);
   u_hist_.fill(0.0);
-  u_power_ = 0.0;
-  pushes_since_power_sync_ = 0;
+  u_power_.reset();
 }
 
 void FxlmsEngine::reset() {

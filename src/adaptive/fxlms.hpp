@@ -4,11 +4,16 @@
 #include <span>
 #include <vector>
 
+#include "adaptive/nlms.hpp"
 #include "common/rt_annotations.hpp"
 #include "common/types.hpp"
 #include "dsp/ring_history.hpp"
 
 namespace mute::adaptive {
+
+/// Updates between the divergence guard's known-good snapshots; a snapshot
+/// is only taken while the norm is comfortably inside the limit (<= 80%).
+inline constexpr std::size_t kSnapshotInterval = 256;
 
 /// Configuration of the filtered-x LMS engine.
 ///
@@ -20,16 +25,13 @@ struct FxlmsOptions {
   std::size_t causal_taps = 256;
   std::size_t noncausal_taps = 0;
   double mu = 0.5;          // NLMS-normalized step size
-  double epsilon = 1e-6;    // normalization regularizer
   double leakage = 0.0;     // coefficient leakage per update
   // Divergence guard: when the weight L2 norm exceeds this after an
-  // update, the weights roll back to the last-known-good snapshot instead
-  // of running away (a bad secondary-path estimate or a garbage reference
-  // can turn the gradient into ascent). 0 disables the guard.
+  // update, the weights roll back to the last-known-good snapshot (taken
+  // every kSnapshotInterval updates) instead of running away (a bad
+  // secondary-path estimate or a garbage reference can turn the gradient
+  // into ascent). 0 disables the guard.
   double weight_norm_limit = 0.0;
-  // Updates between known-good snapshots; a snapshot is only taken while
-  // the norm is comfortably inside the limit (<= 80%).
-  std::size_t snapshot_interval = 256;
   // Excitation gate: skip the update when the mean per-tap filtered
   // reference power falls below this. NLMS divides by that power, so a
   // near-dead reference (squelched link, jammer-captured demodulator)
@@ -124,7 +126,7 @@ class FxlmsEngine {
   /// Maintained incrementally per push and re-synced exactly (kernel
   /// recompute) every total_taps() pushes so add/subtract rounding error
   /// cannot accumulate over long runs.
-  double reference_power() const { return u_power_; }
+  double reference_power() const { return u_power_.value(); }
   /// Times the divergence guard rolled the weights back.
   std::size_t rollback_count() const {
     settle();
@@ -134,7 +136,7 @@ class FxlmsEngine {
   /// Restore the last-known-good snapshot (no-op when the guard is off).
   /// Called on entry to a link-fault hold: any updates made from the
   /// not-yet-detected garbage reference are discarded, so the filter the
-  /// device resumes with is at most `snapshot_interval` updates stale.
+  /// device resumes with is at most kSnapshotInterval updates stale.
   void restore_snapshot();
 
   /// Re-size the non-causal window to `new_noncausal` taps while keeping
@@ -188,8 +190,7 @@ class FxlmsEngine {
   mute::dsp::RingHistory<double> x_hist_;
   mute::dsp::RingHistory<double> u_hist_;
   std::vector<double> sec_path_;
-  double u_power_ = 0.0;
-  std::size_t pushes_since_power_sync_ = 0;
+  WindowPower u_power_;
 
   // Weights and divergence-guard state (preallocated; the per-sample path
   // stays allocation-free). `mutable` because const readers settle a

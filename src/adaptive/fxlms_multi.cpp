@@ -8,26 +8,22 @@
 namespace mute::adaptive {
 
 MultiFxlmsEngine::MultiFxlmsEngine(std::vector<double> secondary_path_estimate,
-                                   std::vector<FxlmsOptions> per_channel)
-    : mu_(per_channel.empty() ? 0.0 : per_channel.front().mu),
-      epsilon_(per_channel.empty() ? 1e-6 : per_channel.front().epsilon),
-      leakage_(per_channel.empty() ? 0.0 : per_channel.front().leakage) {
+                                   const FxlmsOptions& options,
+                                   std::size_t channels)
+    : mu_(options.mu), leakage_(options.leakage) {
   ensure(!secondary_path_estimate.empty(), "secondary path must be non-empty");
-  ensure(!per_channel.empty(), "need at least one reference channel");
-  channels_.reserve(per_channel.size());
-  for (const auto& opts : per_channel) {
-    ensure(opts.causal_taps >= 1, "need at least one causal tap");
-    const std::size_t taps = opts.noncausal_taps + opts.causal_taps;
-    Channel ch{opts,
-               std::vector<double>(taps, 0.0),
-               mute::dsp::RingHistory<double>(taps),
-               mute::dsp::RingHistory<double>(taps),
-               mute::dsp::FirFilter(secondary_path_estimate),
-               0.0,
-               0};
-    channels_.push_back(std::move(ch));
-  }
+  ensure(channels >= 1, "need at least one reference channel");
+  ensure(options.causal_taps >= 1, "need at least one causal tap");
   ensure(mu_ > 0, "mu must be positive");
+  const std::size_t taps = options.noncausal_taps + options.causal_taps;
+  channels_.reserve(channels);
+  for (std::size_t k = 0; k < channels; ++k) {
+    channels_.push_back({std::vector<double>(taps, 0.0),
+                         mute::dsp::RingHistory<double>(taps),
+                         mute::dsp::RingHistory<double>(taps),
+                         mute::dsp::FirFilter(secondary_path_estimate),
+                         {}});
+  }
 }
 
 void MultiFxlmsEngine::push_references(std::span<const Sample> x_advanced) {
@@ -39,14 +35,8 @@ void MultiFxlmsEngine::push_references(std::span<const Sample> x_advanced) {
     const double u_old = ch.u_hist.oldest();
     ch.x_hist.push(static_cast<double>(x_advanced[k]));
     ch.u_hist.push(static_cast<double>(u_new));
-    if (++ch.pushes_since_power_sync >= ch.w.size()) {
-      // Exact re-sync of the incremental window power (see FxlmsEngine).
-      ch.pushes_since_power_sync = 0;
-      ch.u_power = dsp::kernels::energy(ch.u_hist.data(), ch.w.size());
-    } else {
-      ch.u_power += static_cast<double>(u_new) * static_cast<double>(u_new) -
-                    u_old * u_old;
-    }
+    ch.u_power.push(static_cast<double>(u_new), u_old, ch.u_hist.data(),
+                    ch.w.size());
   }
 }
 
@@ -60,8 +50,11 @@ Sample MultiFxlmsEngine::compute_antinoise() const {
 
 void MultiFxlmsEngine::adapt(Sample error) {
   double total_power = 0.0;
-  for (const auto& ch : channels_) total_power += std::max(ch.u_power, 0.0);
-  const double g = mu_ * static_cast<double>(error) / (total_power + epsilon_);
+  for (const auto& ch : channels_) {
+    total_power += std::max(ch.u_power.value(), 0.0);
+  }
+  const double g =
+      mu_ * static_cast<double>(error) / (total_power + kNlmsEpsilon);
   const double keep = 1.0 - mu_ * leakage_;
   for (auto& ch : channels_) {
     dsp::kernels::axpy_leaky_norm(ch.w.data(), ch.u_hist.data(), keep, -g,
@@ -86,8 +79,7 @@ void MultiFxlmsEngine::reset() {
     ch.x_hist.fill(0.0);
     ch.u_hist.fill(0.0);
     ch.sec_filter.reset();
-    ch.u_power = 0.0;
-    ch.pushes_since_power_sync = 0;
+    ch.u_power.reset();
   }
 }
 

@@ -17,22 +17,23 @@ namespace mute::adaptive {
 /// microphones, one for each noise channel").
 ///
 /// Each reference channel k carries the forwarded waveform of one relay
-/// (with its own lookahead N_k) and owns a weight vector w_k; the single
-/// anti-noise output is the sum of the per-channel filter outputs, and
-/// one error microphone drives the joint NLMS update:
+/// (every channel with the same lookahead N) and owns a weight vector
+/// w_k; the single anti-noise output is the sum of the per-channel filter
+/// outputs, and one error microphone drives the joint NLMS update:
 ///
-///   y(t)   = sum_k sum_i w_k[i] x_k(t + N_k - i)
-///   w_k[i] -= mu * e(t) * u_k(t + N_k - i) / (sum_j ||u_j||^2 + eps)
+///   y(t)   = sum_k sum_i w_k[i] x_k(t + N - i)
+///   w_k[i] -= mu * e(t) * u_k(t + N - i) / (sum_j ||u_j||^2 + kNlmsEpsilon)
 ///
 /// With sources that are statistically independent, each channel's weights
 /// converge toward the controller for "its" source even though the update
 /// is joint — the cross terms average out.
 class MultiFxlmsEngine {
  public:
-  /// One options entry per reference channel; all channels share the same
-  /// secondary-path estimate (there is one speaker and one error mic).
+  /// `channels` reference channels with the taps, `mu` and `leakage` of
+  /// `options`, sharing one secondary-path estimate (there is one speaker
+  /// and one error mic).
   MultiFxlmsEngine(std::vector<double> secondary_path_estimate,
-                   std::vector<FxlmsOptions> per_channel);
+                   const FxlmsOptions& options, std::size_t channels);
 
   std::size_t channel_count() const { return channels_.size(); }
 
@@ -54,17 +55,14 @@ class MultiFxlmsEngine {
 
  private:
   struct Channel {
-    FxlmsOptions opts;
     std::vector<double> w;  // [noncausal | causal], newest-first
     mute::dsp::RingHistory<double> x_hist;
     mute::dsp::RingHistory<double> u_hist;
     mute::dsp::FirFilter sec_filter;
-    double u_power = 0.0;
-    std::size_t pushes_since_power_sync = 0;
+    WindowPower u_power;
   };
 
   double mu_;
-  double epsilon_;
   double leakage_;
   std::vector<Channel> channels_;
 };

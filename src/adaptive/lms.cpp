@@ -9,24 +9,17 @@
 
 namespace mute::adaptive {
 
-AdaptiveFir::AdaptiveFir(std::size_t taps, LmsOptions options)
-    : opts_(options), w_(taps, 0.0), x_(taps) {
+AdaptiveFir::AdaptiveFir(std::size_t taps, double mu)
+    : mu_(mu), w_(taps, 0.0), x_(taps) {
   ensure(taps >= 1, "need at least one tap");
-  ensure(options.mu > 0, "mu must be positive");
-  ensure(options.epsilon > 0, "epsilon must be positive");
-  ensure(options.leakage >= 0 && options.leakage < 1, "leakage in [0,1)");
+  ensure(mu > 0, "mu must be positive");
 }
 
 Sample AdaptiveFir::predict(Sample x) {
   // O(1) history slide (newest at window index 0).
   const double x_old = x_.oldest();
   x_.push(static_cast<double>(x));
-  if (++pushes_since_power_sync_ >= w_.size()) {
-    pushes_since_power_sync_ = 0;
-    power_ = dsp::kernels::energy(x_.data(), w_.size());
-  } else {
-    power_ += static_cast<double>(x) * static_cast<double>(x) - x_old * x_old;
-  }
+  power_.push(static_cast<double>(x), x_old, x_.data(), w_.size());
   const double y = dsp::kernels::dot(w_.data(), x_.data(), w_.size());
   last_y_ = y;
   return static_cast<Sample>(y);
@@ -34,10 +27,9 @@ Sample AdaptiveFir::predict(Sample x) {
 
 Sample AdaptiveFir::update(Sample desired) {
   const double e = static_cast<double>(desired) - last_y_;
-  const double denom = std::max(power_, 0.0) + opts_.epsilon;
-  const double g = opts_.mu * e / denom;
-  const double keep = 1.0 - opts_.mu * opts_.leakage;
-  dsp::kernels::axpy_leaky_norm(w_.data(), x_.data(), keep, g, w_.size());
+  const double denom = std::max(power_.value(), 0.0) + kNlmsEpsilon;
+  const double g = mu_ * e / denom;
+  dsp::kernels::scaled_accumulate(w_.data(), x_.data(), g, w_.size());
   return static_cast<Sample>(e);
 }
 
@@ -62,9 +54,8 @@ void AdaptiveFir::set_weights(std::span<const double> w) {
 void AdaptiveFir::reset() {
   std::fill(w_.begin(), w_.end(), 0.0);
   x_.fill(0.0);
-  power_ = 0.0;
+  power_.reset();
   last_y_ = 0.0;
-  pushes_since_power_sync_ = 0;
 }
 
 double misalignment_db(std::span<const double> w,

@@ -4,28 +4,22 @@
 #include <span>
 #include <vector>
 
+#include "adaptive/nlms.hpp"
 #include "common/rt_annotations.hpp"
 #include "common/types.hpp"
 #include "dsp/ring_history.hpp"
 
 namespace mute::adaptive {
 
-/// Step-size policy for the NLMS filter (the step is always divided by
-/// the reference power).
-struct LmsOptions {
-  double mu = 0.05;          // adaptation rate
-  double epsilon = 1e-6;     // NLMS regularizer
-  double leakage = 0.0;      // coefficient leakage (0 = none)
-};
-
-/// Classic transversal adaptive FIR (NLMS).
+/// Classic transversal adaptive FIR (NLMS): the step `mu` is divided by
+/// the input window power plus kNlmsEpsilon.
 ///
 /// Usage pattern (system identification): feed the input sample, get the
 /// prediction, then call `update` with the desired value. The filter
 /// estimates w such that w * x ≈ d.
 class AdaptiveFir {
  public:
-  AdaptiveFir(std::size_t taps, LmsOptions options = {});
+  AdaptiveFir(std::size_t taps, double mu = 0.05);
 
   /// Push the newest input sample and return the current prediction
   /// y(t) = w · [x(t), x(t-1), ...].
@@ -48,15 +42,13 @@ class AdaptiveFir {
   void reset();
 
   std::size_t tap_count() const { return w_.size(); }
-  const LmsOptions& options() const { return opts_; }
 
  private:
-  LmsOptions opts_;
+  double mu_;
   std::vector<double> w_;
   dsp::RingHistory<double> x_;  // newest-first window aligned with w_
-  double power_ = 0.0;
+  WindowPower power_;
   double last_y_ = 0.0;
-  std::size_t pushes_since_power_sync_ = 0;
 };
 
 /// Misalignment ||w - w_true||^2 / ||w_true||^2 in dB (system-id quality).

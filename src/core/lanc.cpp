@@ -13,16 +13,12 @@ LancController::LancController(std::vector<double> secondary_path_estimate,
                                LancOptions options)
     : opts_(options),
       engine_(std::move(secondary_path_estimate), options.fxlms),
-      extractor_(options.sample_rate,
-                 /*fft_size=*/std::min<std::size_t>(options.profile_frame, 512)),
-      frame_buffer_(options.profile_frame) {
-  ensure(options.profile_hop >= 1, "profile hop must be >= 1");
-  ensure(options.profile_frame >= extractor_.fft_size(),
-         "profile frame must cover the signature FFT");
+      extractor_(options.sample_rate, /*fft_size=*/kProfileFrame),
+      frame_buffer_(kProfileFrame) {
   // Snapshots must reach back past the hysteresis window plus the
   // scheduled-swap countdown (both measured in profiler frames).
   snapshot_depth_ = options.switch_hysteresis +
-                    engine_.noncausal_taps() / options.profile_hop + 2;
+                    engine_.noncausal_taps() / kProfileHop + 2;
   const double ramp_samples = kHoldRampS * options.sample_rate;
   gain_step_ = ramp_samples < 1.0 ? 1.0 : 1.0 / ramp_samples;
 
@@ -52,7 +48,6 @@ LancController::LancController(std::vector<double> secondary_path_estimate,
     fd.noncausal_taps = lookahead - opts_.fd_block;
     fd.block = opts_.fd_block;
     fd.mu = opts_.fxlms.mu;
-    fd.epsilon = opts_.fxlms.epsilon;
     fd.leakage = opts_.fxlms.leakage;
     fd_engine_ = std::make_unique<mute::adaptive::FdFxlmsEngine>(
         engine_.secondary_path(), fd);
@@ -249,7 +244,7 @@ void LancController::run_profiler(Sample x_advanced) {
     ++frame_fill_;
     return;
   }
-  if (++hop_counter_ < opts_.profile_hop) return;
+  if (++hop_counter_ < kProfileHop) return;
   hop_counter_ = 0;
 
   weight_snapshots_.push_back(active_weights());

@@ -36,6 +36,11 @@ enum class LancEngineKind {
 /// beat a fault's damage, long enough to avoid an audible click.
 inline constexpr double kHoldRampS = 0.008;
 
+/// Predictive sound profiling: samples per signature frame, and the hop
+/// between frames (50% overlap).
+inline constexpr std::size_t kProfileFrame = 256;
+inline constexpr std::size_t kProfileHop = 128;
+
 /// Configuration of the LANC controller.
 struct LancOptions {
   mute::adaptive::FxlmsOptions fxlms{};  // noncausal_taps = usable lookahead
@@ -53,8 +58,6 @@ struct LancOptions {
 
   // Predictive sound profiling (Section 3.2, opportunity 2).
   bool profiling = false;
-  std::size_t profile_frame = 256;      // samples per signature frame
-  std::size_t profile_hop = 128;        // frames overlap 50%
   // Consecutive agreeing frames before a switch is scheduled. Speech has
   // syllable-scale (tens of ms) energy dips that must NOT trigger a swap;
   // only sentence-scale transitions should (8 frames ~ 64 ms at 16 kHz).
@@ -173,7 +176,7 @@ class LancController {
  private:
   MUTE_RT_ESCAPE(
       "predictive profiling hop: amortized control-plane work (signature\n"
-      "extraction + classification every profile_hop samples) the design\n"
+      "extraction + classification every kProfileHop samples) the design\n"
       "knowingly runs on the audio thread; DESIGN.md \u00a711")
   void run_profiler(Sample x_advanced);
   MUTE_RT_ESCAPE(

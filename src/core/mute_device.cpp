@@ -16,7 +16,6 @@ MuteDevice::MuteDevice(MuteDeviceConfig config)
   ensure(config.relay_count >= 1, "need at least one relay");
   ensure(config.calibration_s > 0, "calibration duration must be positive");
   ensure(config.hold_timeout_s > 0, "hold timeout must be positive");
-  ensure(config.standby_max_age_s > 0, "standby max age must be positive");
   const auto cal_samples =
       static_cast<std::size_t>(config.calibration_s * config.sample_rate);
   stimulus_log_.reserve(cal_samples);
@@ -34,7 +33,7 @@ MuteDevice::MuteDevice(MuteDeviceConfig config)
   shadow_fast_samples_ = static_cast<std::size_t>(
       kShadowFastHandoffS * config.sample_rate);
   standby_max_age_samples_ = static_cast<std::size_t>(
-      config.standby_max_age_s * config.sample_rate);
+      kStandbyMaxAgeS * config.sample_rate);
   standby_.reserve(config.relay_count);
   relay_active_ticks_.assign(config.relay_count, 0);
 }
@@ -387,7 +386,7 @@ std::optional<RelayMeasurement> MuteDevice::shadow_handoff_candidate()
   }
   if (!relay_healthy(target)) return std::nullopt;
   // Require a live standby-list entry: the list is the only measurement
-  // whose age is bounded (standby_max_age_s). A converged shadow whose
+  // whose age is bounded (kStandbyMaxAgeS). A converged shadow whose
   // relay aged out of the ranking keeps its weights, but the handoff
   // waits for the slow path / a fresh round.
   for (const auto& m : standby_) {

@@ -26,6 +26,16 @@ inline constexpr double kTrainingRms = 0.1;
 /// nearly free.
 inline constexpr double kShadowFastHandoffS = 0.02;
 
+/// Standby measurements stay eligible this long after the round that
+/// produced them. Confident rounds only happen while the ear hears the
+/// full ambient field (kListening / kHolding — during cancellation the
+/// residual is deliberately quiet), so the list is refreshed rarely and
+/// must survive a long active stretch. A generous age only risks a stale
+/// *lookahead estimate*: link health is gated in real time by the
+/// per-relay monitors, and a handoff to a relay whose geometry changed
+/// is corrected by the normal adverse-evidence path afterwards.
+inline constexpr double kStandbyMaxAgeS = 10.0;
+
 /// Configuration of a streaming MUTE ear device.
 struct MuteDeviceConfig {
   double sample_rate = kDefaultSampleRate;
@@ -64,16 +74,8 @@ struct MuteDeviceConfig {
   // re-target the association to the runner-up (State::kHandoff) instead
   // of resetting to kListening. Disable to recover the drop-and-relisten
   // behaviour — bench/failover compares the two policies head to head.
+  // The standby list ages out after kStandbyMaxAgeS.
   bool enable_handoff = true;
-  // Standby measurements stay eligible this long after the round that
-  // produced them. Confident rounds only happen while the ear hears the
-  // full ambient field (kListening / kHolding — during cancellation the
-  // residual is deliberately quiet), so the list is refreshed rarely and
-  // must survive a long active stretch. A generous age only risks a stale
-  // *lookahead estimate*: link health is gated in real time by the
-  // per-relay monitors, and a handoff to a relay whose geometry changed
-  // is corrected by the normal adverse-evidence path afterwards.
-  double standby_max_age_s = 10.0;
 
   // Shadow pre-convergence (tentpole): while kRunning, the best-scored
   // standby relay's stream trickle-adapts a background filter predicting

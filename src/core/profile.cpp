@@ -86,12 +86,6 @@ ProfileSignature SignatureExtractor::extract(std::span<const Sample> frame) {
   return sig;
 }
 
-ProfileClassifier::ProfileClassifier() : ProfileClassifier(Options{}) {}
-
-ProfileClassifier::ProfileClassifier(Options options) : opts_(options) {
-  ensure(options.max_profiles >= 2, "need >= 2 profile slots");
-}
-
 std::size_t ProfileClassifier::classify(const ProfileSignature& signature) {
   // Silence gate first: profile 0.
   if (signature.level_db < kSilenceDb) {
@@ -116,7 +110,7 @@ std::size_t ProfileClassifier::classify(const ProfileSignature& signature) {
   }
   if (centroids_.size() == 1 ||
       (best_d > kMatchThreshold &&
-       centroids_.size() < opts_.max_profiles)) {
+       centroids_.size() < kMaxProfiles)) {
     centroids_.push_back(signature);
     return centroids_.size() - 1;
   }

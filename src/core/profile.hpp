@@ -47,14 +47,12 @@ class SignatureExtractor {
 
 /// Online profile classifier: nearest-signature matching with a creation
 /// threshold — an unsupervised, tiny k-means-like clustering that assigns
-/// every frame to a profile id (0-based). Bounded at `max_profiles`; when
+/// every frame to a profile id (0-based). Bounded at kMaxProfiles; when
 /// full, the closest existing profile absorbs the frame.
 class ProfileClassifier {
  public:
-  struct Options {
-    std::size_t max_profiles = 6;
-  };
-
+  /// Profile slots, the silence profile 0 included.
+  static constexpr std::size_t kMaxProfiles = 6;
   /// Distance above which a new profile forms.
   static constexpr double kMatchThreshold = 0.6;
   /// EMA update of a centroid toward a new member.
@@ -67,19 +65,14 @@ class ProfileClassifier {
   /// Below this level a frame goes to the dedicated profile 0.
   static constexpr double kSilenceDb = -55.0;
 
-  ProfileClassifier();
-  explicit ProfileClassifier(Options options);
-
   /// Classify a signature; profile 0 is reserved for silence/background
   /// below the silence threshold.
   std::size_t classify(const ProfileSignature& signature);
 
   std::size_t profile_count() const { return centroids_.size(); }
-  const Options& options() const { return opts_; }
   void reset();
 
  private:
-  Options opts_;
   std::vector<ProfileSignature> centroids_;  // index 0 = silence
 };
 

@@ -16,10 +16,11 @@
 ///   energy(x, n)                 sum_i x[i]^2.
 ///   axpy_leaky_norm(w, x, ...)   w[i] = keep * w[i] + g * x[i] for all i,
 ///                                returns the *new* ||w||^2 — the fused
-///                                FxLMS/LMS weight update. `w` and `x` must
+///                                FxLMS weight update. `w` and `x` must
 ///                                not alias.
 ///   scaled_accumulate(acc, ...)  acc[i] += s * x[i] — the tap-major inner
-///                                step of block FIR filtering. No aliasing.
+///                                step of block FIR filtering and the
+///                                AdaptiveFir NLMS step. No aliasing.
 ///   axpy_leaky_norm_dots(w, u, keep, g, n, x, h, m)
 ///                                one pass of the FxLMS sample: the
 ///                                axpy_leaky_norm update of w over n taps,

@@ -7,8 +7,8 @@
 
 namespace mute::rf {
 
-Nco::Nco(double freq_hz, double sample_rate, double initial_phase)
-    : freq_(freq_hz), fs_(sample_rate), phase_(initial_phase) {
+Nco::Nco(double freq_hz, double sample_rate)
+    : freq_(freq_hz), fs_(sample_rate) {
   ensure(sample_rate > 0, "sample rate must be positive");
 }
 

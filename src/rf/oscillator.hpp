@@ -9,7 +9,7 @@ namespace mute::rf {
 /// offset to rotate a baseband signal by).
 class Nco {
  public:
-  Nco(double freq_hz, double sample_rate, double initial_phase = 0.0);
+  Nco(double freq_hz, double sample_rate);
 
   /// Next phasor e^{j phase}; advances by 2*pi*f/fs.
   Complex tick();
@@ -17,7 +17,7 @@ class Nco {
  private:
   double freq_;
   double fs_;
-  double phase_;
+  double phase_ = 0.0;
 };
 
 }  // namespace mute::rf

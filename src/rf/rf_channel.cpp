@@ -11,7 +11,6 @@ RfChannel::RfChannel(RfChannelParams params, double sample_rate,
                      std::uint64_t seed)
     : params_(params), fs_(sample_rate), seed_(seed), rng_(seed) {
   ensure(sample_rate > 0, "sample rate must be positive");
-  ensure(params.path_gain > 0, "path gain must be positive");
   ensure(params.fading_depth >= 0 && params.fading_depth < 1,
          "fading depth in [0,1)");
   // Complex AWGN with total power = signal_power / SNR for a unit-power
@@ -34,8 +33,7 @@ Complex RfChannel::process(Complex x) {
       std::exp(params_.fading_depth * std::tanh(fade_state_));
 
   const Complex rotated =
-      x * std::polar(params_.path_gain * fade,
-                     static_phase_ + cfo_phase_ + pn_phase_);
+      x * std::polar(fade, static_phase_ + cfo_phase_ + pn_phase_);
   const Complex noise(rng_.gaussian(noise_std_), rng_.gaussian(noise_std_));
   return rotated + noise;
 }

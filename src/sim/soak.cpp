@@ -60,8 +60,8 @@ std::vector<SoakEpisode> make_soak_episodes(const SoakConfig& config) {
   const double lo = kChaosLeadS;
   const double hi = config.duration_s - kChaosTailS;
   std::vector<SoakEpisode> episodes;
-  episodes.reserve(config.episode_count);
-  for (std::size_t i = 0; i < config.episode_count; ++i) {
+  episodes.reserve(kSoakEpisodes);
+  for (std::size_t i = 0; i < kSoakEpisodes; ++i) {
     // Redraw until at least one relay stays healthy for the whole episode
     // (a fully-faulted mesh has no standby to hand off to, so "bounded
     // re-acquisition" would be unfalsifiable). Bounded retries keep the

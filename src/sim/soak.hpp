@@ -23,14 +23,15 @@ struct SoakEpisode {
   int jammer_channel = -1;  // >= 0: channel-pinned jammer (planner can dodge)
 };
 
+/// Randomized episodes over the post-calibration window. The generator
+/// always leaves at least one relay un-faulted at any instant, so a
+/// qualified standby exists and "bounded re-acquisition" is a fair ask.
+inline constexpr std::size_t kSoakEpisodes = 5;
+
 struct SoakConfig {
   std::size_t relay_count = 4;   // 2..8 supported
   double duration_s = 12.0;
   std::uint64_t seed = 1;
-  /// Randomized episodes over the post-calibration window. The generator
-  /// always leaves at least one relay un-faulted at any instant, so a
-  /// qualified standby exists and "bounded re-acquisition" is a fair ask.
-  std::size_t episode_count = 5;
   bool spectrum_supervision = true;
 };
 

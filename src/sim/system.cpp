@@ -18,6 +18,14 @@ namespace {
 
 using acoustics::Transducer;
 
+// Time constant of the step-size schedule (SystemConfig::mu_settle).
+constexpr double kMuSettleTauS = 2.0;
+
+// FxLMS leakage. It bleeds energy out of weight directions the error can
+// never fix (bands where the cheap speaker/mic have no response); without
+// it those weights random-walk to infinity.
+constexpr double kLeakage = 2e-4;
+
 Transducer make_mic(HardwareGrade grade, double fs, std::uint64_t seed) {
   switch (grade) {
     case HardwareGrade::kCheap:
@@ -270,7 +278,7 @@ SystemResult run_anc_simulation(audio::SoundSource& noise,
   lanc_opts.fxlms.causal_taps = config.causal_taps;
   lanc_opts.fxlms.noncausal_taps = noncausal;
   lanc_opts.fxlms.mu = config.mu;
-  lanc_opts.fxlms.leakage = config.leakage;
+  lanc_opts.fxlms.leakage = kLeakage;
   lanc_opts.fxlms.weight_norm_limit = config.weight_norm_limit;
   if (config.link_supervision) {
     // Robust-adaptation companion to the monitor: during the detection
@@ -290,7 +298,7 @@ SystemResult run_anc_simulation(audio::SoundSource& noise,
   // samples — demodulator garbage never reaches the adaptive weights.
   std::optional<core::LinkMonitor> link_monitor;
   if (config.link_supervision) {
-    link_monitor.emplace(config.link_monitor, fs);
+    link_monitor.emplace(core::LinkMonitorOptions{}, fs);
   }
   bool link_ok = true;
 
@@ -370,7 +378,7 @@ SystemResult run_anc_simulation(audio::SoundSource& noise,
   for (std::size_t t = 0; t < n; ++t) {
     if (schedule_mu && (t & 0x3F) == 0) {
       const double frac = std::exp(-static_cast<double>(t) /
-                                   (config.mu_settle_tau_s * fs));
+                                   (kMuSettleTauS * fs));
       lanc.engine().set_mu(config.mu_settle +
                            (config.mu - config.mu_settle) * frac);
     }

@@ -53,12 +53,12 @@ struct SystemConfig {
   double extra_reference_delay_s = 0.0;  // Figure 16 delayed-line injection
 
   // Link supervision & graceful degradation (opt-in; pairs with
-  // rf.faults): a LinkMonitor watches the received reference and, while it
-  // is flagged, the LANC freezes adaptation and fades the anti-noise out so
-  // the ear is never louder than passive. Off by default so benign-channel
-  // experiments are bit-identical with and without this subsystem.
+  // rf.faults): a LinkMonitor with the default LinkMonitorOptions watches
+  // the received reference and, while it is flagged, the LANC freezes
+  // adaptation and fades the anti-noise out so the ear is never louder
+  // than passive. Off by default so benign-channel experiments are
+  // bit-identical with and without this subsystem.
   bool link_supervision = false;
-  core::LinkMonitorOptions link_monitor{};
   // FxLMS divergence guard (FxlmsOptions::weight_norm_limit); 0 = off.
   double weight_norm_limit = 0.0;
 
@@ -67,9 +67,7 @@ struct SystemConfig {
 
   // Adaptive filter. The office RIR rings for hundreds of taps, and the
   // optimal controller (h_ne * h_nr^-1 * h_se^-1) is longer still, so the
-  // causal section must be generous. Leakage bleeds energy out of weight
-  // directions the error can never fix (bands where the cheap speaker/mic
-  // have no response) — without it those weights random-walk to infinity.
+  // causal section must be generous.
   std::size_t causal_taps = 512;
   std::size_t max_noncausal_taps = 192;  // cap N even if lookahead is larger
   std::size_t secondary_taps = 256;      // length of the h_se estimate
@@ -81,13 +79,11 @@ struct SystemConfig {
   // noise tolerates ~0.15 and converges a little faster.
   double mu = 0.05;
   // Step-size scheduling: when mu_settle > 0, the step decays
-  // exponentially from `mu` toward `mu_settle` with time constant
-  // `mu_settle_tau_s`. NLMS misadjustment scales with mu and is painful
-  // on amplitude-modulated sources (speech costs ~5 dB at mu = 0.05);
+  // exponentially from `mu` toward `mu_settle` with a 2 s time constant.
+  // NLMS misadjustment scales with mu and is painful on
+  // amplitude-modulated sources (speech costs ~5 dB at mu = 0.05);
   // scheduling buys fast convergence AND a quiet steady state.
   double mu_settle = 0.01;
-  double mu_settle_tau_s = 2.0;
-  double leakage = 2e-4;
   bool profiling = false;
   // Profiler switch hysteresis in frames (~8 ms each): speech needs a
   // longer window than machine noise so syllable gaps don't flap the

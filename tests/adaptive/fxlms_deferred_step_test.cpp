@@ -171,7 +171,6 @@ TEST(FxlmsDeferredStep, PlainStreamIsBitIdenticalAcrossCallPatterns) {
 TEST(FxlmsDeferredStep, GuardRollbacksAreBitIdentical) {
   FxlmsOptions opt = base_options();
   opt.weight_norm_limit = 0.3;  // below the optimum: the guard must act
-  opt.snapshot_interval = 16;
   const Trace run = expect_deferral_invisible(opt, secondary_path(24, 5),
                                               reference(3000, false));
   EXPECT_GT(run.rollbacks, 0u);
@@ -192,7 +191,6 @@ TEST(FxlmsDeferredStep, ExcitationGateIsBitIdentical) {
 TEST(FxlmsDeferredStep, ControlPlaneCallsBetweenAdaptAndStepSettleFirst) {
   FxlmsOptions opt = base_options();
   opt.weight_norm_limit = 2.0;
-  opt.snapshot_interval = 32;
   const Between between = [](FxlmsEngine& eng, std::size_t t) {
     switch (t) {
       case 500: {
@@ -270,7 +268,6 @@ TEST(FxlmsDeferredStep, SecondaryPathLongerThanTheWeights) {
 TEST(FxlmsDeferredStep, FusedStepDoesNotAllocate) {
   FxlmsOptions opt = base_options();
   opt.weight_norm_limit = 0.3;
-  opt.snapshot_interval = 16;
   const auto h = secondary_path(24, 5);
   FxlmsEngine eng(h, opt);
   const auto x = reference(2000, false);

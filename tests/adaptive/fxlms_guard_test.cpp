@@ -57,7 +57,6 @@ TEST(FxlmsGuard, RollbackHaltsForcedDivergence) {
   opt.causal_taps = 32;
   opt.mu = 0.5;
   opt.weight_norm_limit = 1.0;
-  opt.snapshot_interval = 64;
   FxlmsEngine eng({1.0}, opt);
   Rng rng(11);
   const double peak = drive(eng, /*plant_gain=*/-1.0, 4000, rng);

@@ -116,8 +116,6 @@ TEST(LancFd, ProfilingSwitchesWithFdEngine) {
   // tripping engine-kind asserts, and still detect the alternation.
   LancOptions opts = fd_options(16, 8);
   opts.profiling = true;
-  opts.profile_frame = 256;
-  opts.profile_hop = 128;
   LancController lanc({1.0}, opts);
 
   audio::ToneSource low(300.0, 0.4, kFs);

@@ -430,14 +430,15 @@ TEST(MuteDevice, TickStaysAllocationLeanInEveryState) {
 }
 
 TEST(MuteDevice, StandbyListIsRefreshedByQualifiedRoundsAndAgesOutWithoutThem) {
-  // Pin the standby_max_age_s contract (satellite S1): a qualified
+  // Pin the kStandbyMaxAgeS contract (satellite S1): a qualified
   // selection round RESETS the list's age — so with confident rounds
   // every period the list outlives max_age indefinitely — while rounds
   // that rank nobody leave the age running until the list expires.
   AdvWorld world({40, 12});
   auto cfg = quick_config(2);
   cfg.lanc.fxlms.mu = 1e-9;        // no cancellation: rounds stay confident
-  cfg.standby_max_age_s = 0.9;     // < two selection periods (0.5 s each)
+  const int max_age_ticks =
+      static_cast<int>(kStandbyMaxAgeS * cfg.sample_rate);
   MuteDevice device(cfg);
   Sample speaker = 0.0f, error = 0.0f;
   Signal relay_feed(2);
@@ -449,7 +450,7 @@ TEST(MuteDevice, StandbyListIsRefreshedByQualifiedRoundsAndAgesOutWithoutThem) {
   ASSERT_EQ(device.standby().size(), 2u);
   // Keep running well past max_age: every round re-qualifies both relays,
   // so each refresh must reset the age and the list must survive.
-  for (int t = 0; t < 32000; ++t) {
+  for (int t = 0; t < max_age_ticks + 32000; ++t) {
     speaker = device.tick(relay_feed, error);
     error = world.step(speaker, relay_feed);
   }
@@ -460,12 +461,12 @@ TEST(MuteDevice, StandbyListIsRefreshedByQualifiedRoundsAndAgesOutWithoutThem) {
   // power noise that is UNRELATED to the ambient, so every round loses
   // confidence and ranks nobody (no refresh, and no adverse evidence
   // either — unconfident rounds are what cancellation success looks
-  // like). The stale list must age out within standby_max_age_s.
+  // like). The stale list must age out within kStandbyMaxAgeS.
   // (Long enough that the boundary-straddling selection round — whose
   // buffer is still mostly correlated and may refresh once more — is
   // followed by a fully decorrelated round plus the full expiry age.)
   Rng decorrelated(123);
-  for (int t = 0; t < 26000; ++t) {
+  for (int t = 0; t < max_age_ticks + 12000; ++t) {
     speaker = device.tick(relay_feed, error);
     error = world.step(speaker, relay_feed);
     for (std::size_t k = 0; k < 2; ++k) {
@@ -474,7 +475,7 @@ TEST(MuteDevice, StandbyListIsRefreshedByQualifiedRoundsAndAgesOutWithoutThem) {
   }
   EXPECT_EQ(device.state(), MuteDevice::State::kRunning);
   EXPECT_TRUE(device.standby().empty())
-      << "measurements older than standby_max_age_s are guesses, not a "
+      << "measurements older than kStandbyMaxAgeS are guesses, not a "
          "ranking";
 }
 

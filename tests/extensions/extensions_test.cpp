@@ -55,7 +55,7 @@ TEST(MultiFxlms, CancelsTwoSimultaneousSources) {
   opts.causal_taps = 32;
   opts.noncausal_taps = 8;
   opts.mu = 0.4;
-  adaptive::MultiFxlmsEngine multi(hse, {opts, opts});
+  adaptive::MultiFxlmsEngine multi(hse, opts, 2);
   mute::dsp::FirFilter plant(hse);
 
   double err = 0.0;
@@ -83,7 +83,7 @@ TEST(MultiFxlms, SingleChannelMatchesFxlmsEngine) {
   opts.noncausal_taps = 4;
   opts.mu = 0.3;
   adaptive::FxlmsEngine single(hse, opts);
-  adaptive::MultiFxlmsEngine multi(hse, {opts});
+  adaptive::MultiFxlmsEngine multi(hse, opts, 1);
   for (int t = 0; t < 2000; ++t) {
     const Sample x = static_cast<Sample>(rng.gaussian(0.2));
     const Sample refs[] = {x};
@@ -97,8 +97,9 @@ TEST(MultiFxlms, SingleChannelMatchesFxlmsEngine) {
 }
 
 TEST(MultiFxlms, RejectsBadConfig) {
-  EXPECT_THROW(adaptive::MultiFxlmsEngine({1.0}, {}), PreconditionError);
-  adaptive::MultiFxlmsEngine ok({1.0}, {adaptive::FxlmsOptions{}});
+  EXPECT_THROW(adaptive::MultiFxlmsEngine({1.0}, adaptive::FxlmsOptions{}, 0),
+               PreconditionError);
+  adaptive::MultiFxlmsEngine ok({1.0}, adaptive::FxlmsOptions{}, 1);
   const Sample one[] = {0.1f};
   (void)one;
   Signal wrong(2, 0.1f);
@@ -145,7 +146,7 @@ TEST(Fdaf, ConvergesFasterThanNlmsOnColoredInput) {
     d[i] = plant.process(x[i]);
   }
   adaptive::BlockFdaf fdaf({.taps = 64, .mu = 0.5});
-  adaptive::AdaptiveFir nlms(64, {.mu = 0.5});
+  adaptive::AdaptiveFir nlms(64, 0.5);
   const auto err_f = fdaf.identify(x, d);
   Signal err_n(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) err_n[i] = nlms.step(x[i], d[i]);

@@ -149,20 +149,6 @@ TEST(RfChannel, AwgnMatchesConfiguredSnr) {
   EXPECT_NEAR(power_to_db(1.0 / noise_power), 20.0, 1.5);
 }
 
-TEST(RfChannel, PathGainScalesOutput) {
-  RfChannelParams p;
-  p.snr_db = 100.0;
-  p.path_gain = 0.25;
-  p.cfo_hz = 0.0;
-  p.phase_noise_rad = 0.0;
-  RfChannel ch(p, kRfFs, 9);
-  double mag = 0.0;
-  for (int i = 0; i < 1000; ++i) {
-    mag += std::abs(ch.process(Complex(1.0, 0.0)));
-  }
-  EXPECT_NEAR(mag / 1000.0, 0.25, 0.01);
-}
-
 TEST(RelayLink, AudioSurvivesFullChain) {
   RelayConfig cfg;
   RelayLink link(cfg, 11);

@@ -19,12 +19,11 @@ TEST(SoakSchedule, IsADeterministicFunctionOfTheConfig) {
   SoakConfig cfg;
   cfg.relay_count = 4;
   cfg.duration_s = 12.0;
-  cfg.episode_count = 6;
   cfg.seed = 9;
   const auto a = make_soak_episodes(cfg);
   const auto b = make_soak_episodes(cfg);
   ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.size(), cfg.episode_count);
+  ASSERT_EQ(a.size(), kSoakEpisodes);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].relay, b[i].relay);
     EXPECT_EQ(a[i].kind, b[i].kind);
@@ -48,10 +47,9 @@ TEST(SoakSchedule, EpisodesRespectTheWindowAndTheMesh) {
     SoakConfig cfg;
     cfg.relay_count = 5;
     cfg.duration_s = 14.0;
-    cfg.episode_count = 8;
     cfg.seed = seed;
     const auto episodes = make_soak_episodes(cfg);
-    ASSERT_EQ(episodes.size(), cfg.episode_count) << "seed " << seed;
+    ASSERT_EQ(episodes.size(), kSoakEpisodes) << "seed " << seed;
     for (const SoakEpisode& e : episodes) {
       EXPECT_LT(e.relay, cfg.relay_count) << "seed " << seed;
       EXPECT_NE(e.kind, FaultScenario::kNone) << "seed " << seed;
@@ -81,7 +79,6 @@ TEST(SoakSchedule, AlwaysLeavesAHealthyRelay) {
     SoakConfig cfg;
     cfg.relay_count = 2;  // tightest case: one fault saturates half the mesh
     cfg.duration_s = 10.0;
-    cfg.episode_count = 6;
     cfg.seed = seed;
     const auto episodes = make_soak_episodes(cfg);
     for (double t = 0.0; t < cfg.duration_s; t += 0.01) {
@@ -113,7 +110,6 @@ TEST(SoakRun, ShortSeededSoakUpholdsEveryInvariant) {
   SoakConfig cfg;
   cfg.relay_count = 3;
   cfg.duration_s = 7.0;
-  cfg.episode_count = 3;
   cfg.seed = 5;
   const SoakReport report = run_chaos_soak(cfg);
 
@@ -127,7 +123,7 @@ TEST(SoakRun, ShortSeededSoakUpholdsEveryInvariant) {
 
   EXPECT_EQ(report.seed, cfg.seed);
   EXPECT_EQ(report.relay_count, cfg.relay_count);
-  EXPECT_EQ(report.episodes.size(), cfg.episode_count);
+  EXPECT_EQ(report.episodes.size(), kSoakEpisodes);
   // The chaos actually landed: the monitor saw fault episodes.
   EXPECT_GE(report.link_fault_episodes, 1u);
   if (report.allocation_tracked) {
@@ -139,7 +135,6 @@ TEST(SoakRun, ReportsSerializeToTheCiArtifact) {
   SoakConfig cfg;
   cfg.relay_count = 3;
   cfg.duration_s = 7.0;
-  cfg.episode_count = 2;
   cfg.seed = 17;
   const SoakReport report = run_chaos_soak(cfg);
   const std::string json = soak_reports_json({report});

@@ -11,7 +11,9 @@
 #   4. analyze  : tools/run_static_analysis.sh (clang-tidy or fallback,
 #                 plus the rt-lint RT-safety gate)
 #   5. perf     : micro_dsp hot-path benches + tools/bench_gate.py against
-#                 the committed BENCH_baseline.json (DESIGN.md §10)
+#                 the committed BENCH_baseline.json (DESIGN.md §10); each
+#                 time is the minimum of three repetitions, the statistic
+#                 the baseline records
 #   6. soak-smoke : bench/chaos_soak on a short multi-seed schedule — the
 #                 mesh-resilience invariants (never louder than passive,
 #                 bounded re-acquisition, allocation-free steady state)
@@ -86,6 +88,7 @@ run_perf() {
   ./build-dev/bench/micro_dsp \
     --benchmark_filter="$BENCH_FILTER" \
     --benchmark_min_time=0.3 \
+    --benchmark_repetitions=3 \
     --json bench-current.json
   python3 tools/bench_gate.py bench-current.json
 }
