@@ -1,11 +1,9 @@
 // Figure 16: cancellation as lookahead shrinks toward the Equation-3
 // lower bound. Exactly like the paper, the physical scene is untouched;
 // a delayed line buffer inside the DSP starves the reference of lead time.
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/lanc.hpp"
 #include "sim/parallel_sweep.hpp"
 
 int main() {
@@ -56,57 +54,5 @@ int main() {
                 runs[i].result.noncausal_taps);
   }
 
-  // -- lookahead-vs-block sweep (DESIGN.md §13) ---------------------------
-  // How the kFdBlock engine spends a fixed acoustic lead: every power-of-
-  // two block B <= N trades B samples of pipeline fill for an O(log)
-  // per-sample engine, leaving N - B future taps. Cancellation must stay
-  // flat across the sweep (block latency is free up to the lead) while
-  // the per-tick cost drops — the whole point of the block engine.
-  std::printf("\n-- lookahead-vs-block sweep (lead fixed at 64 samples) --\n");
-  std::printf("%-14s %-10s %-12s %-12s\n", "engine", "block", "residual dB",
-              "ns/tick");
-  const std::size_t kLead = 64;
-  const int kTicks = 48000;
-  for (const std::size_t block : {std::size_t{0}, std::size_t{8},
-                                  std::size_t{16}, std::size_t{32}}) {
-    std::vector<double> hse(4, 0.0);
-    hse[1] = 1.0;
-    core::LancOptions opts;
-    opts.fxlms.causal_taps = 1024;  // long enough that the per-sample
-                                    // engine's O(taps) cost shows
-    opts.fxlms.noncausal_taps = kLead;
-    if (block == 0) {
-      opts.engine = core::LancEngineKind::kTimeDomain;
-    } else {
-      opts.engine = core::LancEngineKind::kFdBlock;
-      opts.fd_block = block;
-    }
-    core::LancController lanc(hse, opts);
-
-    Rng rng(21);
-    std::vector<Sample> n_sig(kTicks + kLead);
-    for (auto& v : n_sig) v = static_cast<Sample>(rng.gaussian(0.1));
-    std::vector<Sample> y(kTicks, 0.0f);
-    double err = 0.0;
-    int count = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int t = 0; t < kTicks; ++t) {
-      y[t] = lanc.tick(n_sig[t + kLead]);
-      const Sample e =
-          n_sig[t] + ((t >= 1) ? y[t - 1] : Sample{0});
-      lanc.observe_error(e);
-      if (t > 3 * kTicks / 4) {
-        err += static_cast<double>(e) * static_cast<double>(e);
-        ++count;
-      }
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ns_per_tick =
-        std::chrono::duration<double, std::nano>(t1 - t0).count() / kTicks;
-    const double db = 10.0 * std::log10(err / count / 0.01);
-    std::printf("%-14s %-10zu %-12.1f %-12.0f\n",
-                block == 0 ? "time-domain" : "fd-block", block, db,
-                ns_per_tick);
-  }
   return 0;
 }

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "adaptive/fd_fxlms.hpp"
 #include "adaptive/fdaf.hpp"
 #include "adaptive/fxlms.hpp"
 #include "adaptive/fxlms_multi.hpp"
@@ -256,39 +255,6 @@ void BM_FxlmsCycle(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FxlmsCycle)->Arg(256)->Arg(1024)->Arg(2048);
-
-// The partitioned-block FD engine's full duty cycle (process_block +
-// adapt_block), reported per SAMPLE via SetItemsProcessed so the number
-// is directly comparable with BM_FxlmsCycle at the same tap count — the
-// ratio is the block engine's speedup, gated in BENCH_baseline.json.
-// `taps` is the total filter length; the block size is the engine's
-// auto pick (taps/8 clamped to [64, 512]).
-void BM_FdLancBlock(benchmark::State& state) {
-  const auto taps = static_cast<std::size_t>(state.range(0));
-  std::vector<double> hse(128, 0.0);
-  hse[2] = 1.0;
-  adaptive::FdFxlmsOptions opts;
-  opts.causal_taps = taps / 2;
-  opts.noncausal_taps = taps - taps / 2;
-  adaptive::FdFxlmsEngine engine(hse, opts);
-  const std::size_t block = engine.block_size();
-  Rng rng(10);
-  std::vector<Sample> xs(8 * block), ys(block), es(block);
-  for (auto& v : xs) v = static_cast<Sample>(rng.gaussian(0.1));
-  std::size_t off = 0;
-  for (auto _ : state) {
-    engine.process_block(std::span<const Sample>(xs.data() + off, block), ys);
-    for (std::size_t i = 0; i < block; ++i) {
-      es[i] = static_cast<Sample>(ys[i] * 0.01f);
-    }
-    engine.adapt_block(es);
-    off = (off + block == xs.size()) ? 0 : off + block;
-    benchmark::DoNotOptimize(ys.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(block));
-}
-BENCHMARK(BM_FdLancBlock)->Arg(256)->Arg(1024)->Arg(2048);
 
 // The shadow pre-convergence per-sample budget: every sample pushes the
 // standby's reference into the shadow history, every adapt_stride-th pays

@@ -81,13 +81,11 @@ void BlockFdaf::step_block(std::span<const Sample> x,
   kernels::cmul_conj_scaled(as_doubles(grad_), as_doubles(xf_),
                             as_doubles(ef_), bin_power_.data(), kEpsilon,
                             fft_);
-  if (opts_.constrained) {
-    // Constrain the gradient to a causal filter of length block_: go to
-    // time domain, zero the second half, come back.
-    mute::dsp::ifft_inplace(grad_);
-    for (std::size_t i = block_; i < fft_; ++i) grad_[i] = Complex(0.0, 0.0);
-    mute::dsp::fft_inplace(grad_);
-  }
+  // Constrain the gradient to a causal filter of length block_: go to
+  // time domain, zero the second half, come back.
+  mute::dsp::ifft_inplace(grad_);
+  for (std::size_t i = block_; i < fft_; ++i) grad_[i] = Complex(0.0, 0.0);
+  mute::dsp::fft_inplace(grad_);
   for (std::size_t k = 0; k < fft_; ++k) {
     w_[k] += opts_.mu * grad_[k];
   }

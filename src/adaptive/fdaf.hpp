@@ -25,11 +25,10 @@ namespace mute::adaptive {
 /// runtime LANC loop keeps the transversal engine, whose per-sample
 /// latency model matches the hardware story.
 ///
-/// Not redundant with a one-partition FdFxlmsEngine (DESIGN.md §13): that
-/// engine normalizes each bin by the block's instantaneous power, which
-/// diverges on a colored reference (+96 dB misalignment after 4 s on the
-/// ablation's 256-tap case at mu 0.9), while this filter's primed EMA
-/// normalizer converges on the same data (-10 dB).
+/// Each bin is normalized by a primed EMA of its power; normalizing by the
+/// block's instantaneous power instead diverged on a colored reference
+/// (+96 dB misalignment after 4 s on the ablation's 256-tap case at mu
+/// 0.9) where this normalizer converges (-10 dB; DESIGN.md §13).
 class BlockFdaf {
  public:
   /// Bin-power regularizer of the per-bin normalized step.
@@ -42,7 +41,6 @@ class BlockFdaf {
                               // from the first block's own power so the
                               // first update never normalizes by
                               // kEpsilon alone (cold-start divergence)
-    bool constrained = true;  // gradient constraint (zero the tail)
   };
 
   explicit BlockFdaf(Options options);
@@ -67,10 +65,8 @@ class BlockFdaf {
 
   /// Full 2B-tap circular response (diagnostics): taps [0, block) are the
   /// causal filter weights() returns; taps [block, 2B) are the wraparound
-  /// half the gradient constraint exists to suppress. A constrained
-  /// filter keeps that half identically zero (the constrained gradient
-  /// never writes it); unconstrained adaptation leaks transient and
-  /// gradient-noise energy there.
+  /// half the gradient constraint exists to suppress. The filter keeps
+  /// that half identically zero: the constrained gradient never writes it.
   std::vector<double> weights_full() const;
 
   void reset();

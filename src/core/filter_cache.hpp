@@ -11,29 +11,16 @@
 
 namespace mute::core {
 
-/// Which adaptive engine a cached weight vector belongs to. The
-/// time-domain FxlmsEngine and the partitioned-block FdFxlmsEngine use
-/// the same [w_{-N} ... w_{L-1}] layout, but at the same controller
-/// lookahead their vectors differ in length and tap meaning (the block
-/// engine's non-causal window is shortened by its pipeline block), so an
-/// entry converged under one engine must never preload the other.
-enum class EngineKind : std::size_t {
-  kTimeDomain = 0,
-  kFdBlock = 1,
-};
-
 /// Cache key for a converged weight vector: which relay the filter was
-/// adapted against, which sound profile it cancels, and which engine
-/// kind produced it. The relay index matters because the weights are
-/// relay-specific twice over — the non-causal window is sized to that
-/// relay's usable lookahead, and the causal section compensates that
-/// relay's acoustic position. A filter converged against relay 2 loaded
-/// for relay 0 would replay the wrong alignment, so the axes form one
-/// composite key.
+/// adapted against and which sound profile it cancels. The relay index
+/// matters because the weights are relay-specific twice over — the
+/// non-causal window is sized to that relay's usable lookahead, and the
+/// causal section compensates that relay's acoustic position. A filter
+/// converged against relay 2 loaded for relay 0 would replay the wrong
+/// alignment, so the axes form one composite key.
 struct FilterCacheKey {
   std::size_t relay = 0;
   std::size_t profile = 0;
-  EngineKind engine = EngineKind::kTimeDomain;
   bool operator==(const FilterCacheKey&) const = default;
 };
 
@@ -44,8 +31,6 @@ struct FilterCacheKeyHash {
     std::size_t h = std::hash<std::size_t>{}(k.relay);
     h ^= std::hash<std::size_t>{}(k.profile) + 0x9e3779b97f4a7c15ull +
          (h << 6) + (h >> 2);
-    h ^= std::hash<std::size_t>{}(static_cast<std::size_t>(k.engine)) +
-         0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
     return h;
   }
 };

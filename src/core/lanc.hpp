@@ -2,10 +2,8 @@
 
 #include <cstddef>
 #include <deque>
-#include <memory>
 #include <vector>
 
-#include "adaptive/fd_fxlms.hpp"
 #include "adaptive/fxlms.hpp"
 #include "common/rt_annotations.hpp"
 #include "common/types.hpp"
@@ -14,22 +12,6 @@
 #include "dsp/ring_history.hpp"
 
 namespace mute::core {
-
-/// Which adaptive engine runs the LANC signal path.
-///
-/// kTimeDomain is the per-sample FxlmsEngine — the pinned reference whose
-/// latency model matches the paper's hardware story. kFdBlock is the
-/// partitioned-block frequency-domain engine (adaptive::FdFxlmsEngine):
-/// it buffers the advanced reference into blocks of `fd_block` samples
-/// and produces anti-noise one block behind, which LANC absorbs in the
-/// acoustic lead — the engine runs with `noncausal_taps - fd_block`
-/// future taps, so block size ≤ lookahead adds ZERO effective latency
-/// while cutting the per-sample cost from O(taps) to O(log taps)
-/// (DESIGN.md §13).
-enum class LancEngineKind {
-  kTimeDomain,
-  kFdBlock,
-};
 
 /// Graceful degradation: seconds over which the anti-noise output ramps to
 /// zero after hold() (and back to unity after resume()). Short enough to
@@ -45,16 +27,6 @@ inline constexpr std::size_t kProfileHop = 128;
 struct LancOptions {
   mute::adaptive::FxlmsOptions fxlms{};  // noncausal_taps = usable lookahead
   double sample_rate = kDefaultSampleRate;
-
-  // Engine selection (see LancEngineKind). kFdBlock requires
-  // fxlms.noncausal_taps >= fd_block: the block pipeline delay must fit
-  // inside the acoustic lead.
-  LancEngineKind engine = LancEngineKind::kTimeDomain;
-  // Block size for kFdBlock (power of two). 0 picks the largest power of
-  // two <= min(max(fxlms.noncausal_taps / 2, 1), 256): half the lead pays
-  // the block pipeline, the other half stays with the filter as future
-  // taps. The engine runs the round-robin gradient constraint.
-  std::size_t fd_block = 0;
 
   // Predictive sound profiling (Section 3.2, opportunity 2).
   bool profiling = false;
@@ -139,29 +111,8 @@ class LancController {
 
   bool holding() const { return holding_; }
 
-  /// Number of future taps N (== usable lookahead in samples). For the
-  /// block engine this is the *controller's* lookahead — the engine's
-  /// future-tap window plus the block pipeline delay it absorbs.
-  std::size_t lookahead_samples() const {
-    return fd_engine_ ? fd_engine_->noncausal_taps() + fd_engine_->block_size()
-                      : engine_.noncausal_taps();
-  }
-
-  LancEngineKind engine_kind() const {
-    return fd_engine_ ? LancEngineKind::kFdBlock
-                      : LancEngineKind::kTimeDomain;
-  }
-
-  /// The block engine, or nullptr in time-domain mode.
-  const mute::adaptive::FdFxlmsEngine* fd_engine() const {
-    return fd_engine_.get();
-  }
-  mute::adaptive::FdFxlmsEngine* fd_engine() { return fd_engine_.get(); }
-
-  /// Active-engine weight vector / tap count (layout [w_{-N'} ... w_{L-1}]
-  /// of whichever engine runs the signal path). Control-plane.
-  MUTE_RT_UNSAFE std::vector<double> active_weights() const;
-  std::size_t active_total_taps() const;
+  /// Number of future taps N (== usable lookahead in samples).
+  std::size_t lookahead_samples() const { return engine_.noncausal_taps(); }
 
   std::size_t current_profile() const { return current_profile_; }
   std::size_t profile_switch_count() const { return switch_count_; }
@@ -184,37 +135,8 @@ class LancController {
       "per confirmed profile transition, not per sample; DESIGN.md \u00a711")
   void apply_pending_switch();
 
-  // Block-engine signal path: lazily flush the filled input block at the
-  // START of the tick (so the previous block's error window, which
-  // completes in the observe_error just before, adapts against an
-  // unmoved spectrum ring), then serve y from the output block.
-  MUTE_RT_SAFE Sample fd_tick(Sample x_advanced);
-  // Install weights on whichever engine is active.
-  MUTE_RT_UNSAFE void install_weights(std::span<const double> w);
-  // Reset the block pipeline (after retarget / reset: the buffered blocks
-  // belong to the old stream).
-  void reset_fd_pipeline();
-  FilterCacheKey cache_key(std::size_t relay, std::size_t profile) const {
-    return {relay, profile,
-            fd_engine_ ? EngineKind::kFdBlock : EngineKind::kTimeDomain};
-  }
-
   LancOptions opts_;
   mute::adaptive::FxlmsEngine engine_;
-  // Block engine (kFdBlock only); when set, it owns the signal path and
-  // engine_ above is idle reference plumbing.
-  std::unique_ptr<mute::adaptive::FdFxlmsEngine> fd_engine_;
-  // Block pipeline state: input accumulator, playing output block, and
-  // the error window for the last played block (all preallocated).
-  Signal fd_in_;
-  Signal fd_out_;
-  Signal fd_err_;
-  std::size_t fd_in_fill_ = 0;
-  std::size_t fd_out_pos_ = 0;
-  std::size_t fd_err_fill_ = 0;
-  bool fd_out_ready_ = false;   // first block has been produced
-  bool fd_can_adapt_ = false;   // a process_block awaits its error window
-  bool fd_err_dirty_ = false;   // hold() contaminated the current window
   // Which relay the engine is currently converged against; the first key
   // axis of every cache store/load.
   std::size_t relay_ = 0;

@@ -146,8 +146,7 @@ class MuteDevice {
   /// Times the device entered kHolding.
   std::size_t hold_count() const { return hold_count_; }
   /// Times the LANC divergence guard rolled the weights back, summed over
-  /// every controller the device has built (the block engine has no
-  /// guard and adds nothing).
+  /// every controller the device has built.
   std::size_t weight_rollback_count() const;
 
   // --- Failover diagnostics -------------------------------------------

@@ -262,18 +262,6 @@ void magsq_accumulate(double* acc_in, const double* z_in, std::size_t n) {
 }
 
 MUTE_KERNEL_CLONES
-void magsq_update(double* acc_in, const double* z_new_in,
-                  const double* z_old_in, std::size_t n) {
-  double* MUTE_KERNEL_RESTRICT acc = acc_in;
-  const double* MUTE_KERNEL_RESTRICT zn = z_new_in;
-  const double* MUTE_KERNEL_RESTRICT zo = z_old_in;
-  for (std::size_t k = 0; k < n; ++k) {
-    acc[k] += zn[2 * k] * zn[2 * k] + zn[2 * k + 1] * zn[2 * k + 1] -
-              zo[2 * k] * zo[2 * k] - zo[2 * k + 1] * zo[2 * k + 1];
-  }
-}
-
-MUTE_KERNEL_CLONES
 void window_into_complex(double* out_in, const double* w_in, const float* x_in,
                          std::size_t n) {
   double* MUTE_KERNEL_RESTRICT out = out_in;
@@ -350,15 +338,6 @@ void cmul_conj_scaled(double* out, const double* a, const double* b,
 void magsq_accumulate(double* acc, const double* z, std::size_t n) {
   for (std::size_t k = 0; k < n; ++k) {
     acc[k] += z[2 * k] * z[2 * k] + z[2 * k + 1] * z[2 * k + 1];
-  }
-}
-
-void magsq_update(double* acc, const double* z_new, const double* z_old,
-                  std::size_t n) {
-  for (std::size_t k = 0; k < n; ++k) {
-    acc[k] += z_new[2 * k] * z_new[2 * k] +
-              z_new[2 * k + 1] * z_new[2 * k + 1] -
-              z_old[2 * k] * z_old[2 * k] - z_old[2 * k + 1] * z_old[2 * k + 1];
   }
 }
 

@@ -31,11 +31,12 @@
 ///                                fold order; DESIGN.md §10.2). `w` must
 ///                                alias none of u, x, h.
 ///
-/// The frequency-domain block engines (adaptive::BlockFdaf,
-/// adaptive::FdFxlmsEngine) and the Welch estimators add a second family
-/// operating on interleaved complex data. A `z` argument is an interleaved
-/// (re, im) double array — the guaranteed memory layout of
-/// std::complex<double> — and `n` counts COMPLEX elements (2n doubles):
+/// The frequency-domain block filter (adaptive::BlockFdaf), the
+/// partitioned FFT convolution (dsp::FirFilter) and the Welch estimators
+/// add a second family operating on interleaved complex data. A `z`
+/// argument is an interleaved (re, im) double array — the guaranteed
+/// memory layout of std::complex<double> — and `n` counts COMPLEX
+/// elements (2n doubles):
 ///
 ///   cmul_accumulate(acc, a, b, n)       acc[k] += a[k] * b[k] (complex
 ///                                       multiply) — the per-partition
@@ -47,11 +48,7 @@
 ///                                       (p is a real per-bin power array).
 ///   magsq_accumulate(acc, z, n)         acc[k] += |z[k]|^2 (acc is real) —
 ///                                       Welch periodogram accumulation and
-///                                       exact bin-power re-syncs.
-///   magsq_update(acc, z_new, z_old, n)  acc[k] += |z_new[k]|^2
-///                                                - |z_old[k]|^2 — the O(F)
-///                                       sliding-window bin-power update of
-///                                       the partitioned engines.
+///                                       the FDAF's first bin-power block.
 ///   window_into_complex(out, w, x, n)   out[k] = (w[k] * x[k], 0) — the
 ///                                       windowed real-to-complex load that
 ///                                       fronts every FFT in the spectral
@@ -97,8 +94,6 @@ MUTE_RT_SAFE void cmul_conj_scaled(double* out, const double* a,
                                    double eps, std::size_t n);
 MUTE_RT_SAFE void magsq_accumulate(double* acc, const double* z,
                                    std::size_t n);
-MUTE_RT_SAFE void magsq_update(double* acc, const double* z_new,
-                               const double* z_old, std::size_t n);
 MUTE_RT_SAFE void window_into_complex(double* out, const double* w,
                                       const float* x, std::size_t n);
 
@@ -120,8 +115,6 @@ void cmul_accumulate(double* acc, const double* a, const double* b,
 void cmul_conj_scaled(double* out, const double* a, const double* b,
                       const double* power, double eps, std::size_t n);
 void magsq_accumulate(double* acc, const double* z, std::size_t n);
-void magsq_update(double* acc, const double* z_new, const double* z_old,
-                  std::size_t n);
 void window_into_complex(double* out, const double* w, const float* x,
                          std::size_t n);
 

@@ -1,17 +1,38 @@
-// Golden pin for run_anc_simulation: 64-bit hashes of the residual bits
-// for two configurations that reach every fixed tuning constant of the
-// offline loop — the link monitor's default options, the FxLMS leakage
-// and NLMS regularizer, the step-size schedule, the divergence guard's
-// snapshot interval and the profiler's frame, hop and slot limit. A
-// refactor that keeps these values must keep the hashes; a deliberate
+// Golden pins: 64-bit hashes of the residual bits.
+//
+// run_anc_simulation: two configurations that reach every fixed tuning
+// constant of the offline loop — the link monitor's default options, the
+// FxLMS leakage and NLMS regularizer, the step-size schedule, the
+// divergence guard's snapshot interval and the profiler's frame, hop and
+// slot limit.
+//
+// The device path: run_device_simulation on one relay over RF, and the
+// mesh (supervision off) through a relay-0 dropout that forces a handoff,
+// so LancController's hold, retarget and install_converged all run. Their
+// failover counters are pinned next to the hash.
+//
+// The device path runs the partitioned plant FIR, whose spectral products
+// go through kernels::cmul_accumulate. On an AVX-512 host GCC 12 fuses that
+// kernel's avx512f clone into multiply-adds despite -ffp-contract=off, so
+// its bits differ from the reference kernel's (and from sanitizer builds,
+// whose instrumentation keeps the clone unfused). Those two pins therefore
+// record one hash per rounding.
+//
+// A refactor that keeps these values must keep the hashes; a deliberate
 // behaviour change re-records them and says so.
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "audio/generators.hpp"
+#include "common/rng.hpp"
 #include "common/types.hpp"
+#include "dsp/kernels.hpp"
+#include "sim/mesh.hpp"
 #include "sim/scenarios.hpp"
 #include "sim/system.hpp"
 
@@ -31,6 +52,24 @@ std::uint64_t residual_hash(const Signal& residual) {
     }
   }
   return h;
+}
+
+// Whether kernels::cmul_accumulate computes its reference's bits here.
+bool cmul_matches_reference() {
+  constexpr std::size_t kN = 64;
+  Rng rng(3);
+  std::vector<double> a(2 * kN), b(2 * kN);
+  for (auto& v : a) v = rng.gaussian();
+  for (auto& v : b) v = rng.gaussian();
+  std::vector<double> fast(2 * kN, 0.25), ref(2 * kN, 0.25);
+  dsp::kernels::cmul_accumulate(fast.data(), a.data(), b.data(), kN);
+  dsp::kernels::naive::cmul_accumulate(ref.data(), a.data(), b.data(), kN);
+  return std::memcmp(fast.data(), ref.data(), fast.size() * sizeof(double)) ==
+         0;
+}
+
+std::uint64_t device_hash(std::uint64_t reference, std::uint64_t fused) {
+  return cmul_matches_reference() ? reference : fused;
 }
 
 TEST(SystemGolden, SupervisedProfilingRunOverRfIsPinned) {
@@ -56,6 +95,47 @@ TEST(SystemGolden, FaultScenarioRunIsPinned) {
   const auto r = run_anc_simulation(*noise, cfg);
   EXPECT_GT(r.link_fault_samples, 0u);  // the monitor saw the fault
   EXPECT_EQ(residual_hash(r.residual), 0xff0be92388500c6cull);
+}
+
+TEST(SystemGolden, OneRelayDeviceRunOverRfIsPinned) {
+  DeviceSimConfig cfg;
+  cfg.duration_s = 4.0;
+  cfg.seed = 5;
+  cfg.device.calibration_s = 1.0;
+  audio::WhiteNoiseSource noise(0.1, 505);
+  const SystemResult r = run_device_simulation(noise, cfg);
+  EXPECT_EQ(residual_hash(r.residual),
+            device_hash(0x9cd64253bf193d06ull, 0x00aa3b7b2b081d79ull));
+  EXPECT_EQ(r.handoff_count, 0u);
+  EXPECT_EQ(r.device_hold_count, 0u);
+  EXPECT_EQ(r.weight_rollbacks, 0u);
+}
+
+TEST(SystemGolden, MeshDropoutHandoffRunIsPinned) {
+  DeviceSimConfig cfg;
+  cfg.relay_positions = {{2.0, 2.5, 1.5}, {2.2, 2.5, 1.5}};
+  cfg.duration_s = 7.0;
+  cfg.seed = 11;
+  cfg.device.calibration_s = 1.0;
+  cfg.device.selection_period_s = 0.5;
+  cfg.device.hold_timeout_s = 0.3;
+  cfg.device.lanc.fxlms.mu = 0.3;
+  cfg.device.lanc.fxlms.leakage = 2e-4;
+  cfg.relay_faults = {
+      make_fault_schedule(FaultScenario::kRelayDropout, 5.0, 1.5)};
+  MeshSimConfig mesh;
+  mesh.device_sim = cfg;
+  mesh.spectrum_supervision = false;
+  audio::WhiteNoiseSource noise(0.1, 1011);
+  const SystemResult r = run_mesh_simulation(noise, mesh).system;
+  ASSERT_GE(r.handoff_count, 1u);         // retarget ran
+  ASSERT_GE(r.shadow_handoff_count, 1u);  // install_converged ran
+  ASSERT_GE(r.device_hold_count, 1u);     // hold ran
+  EXPECT_EQ(residual_hash(r.residual),
+            device_hash(0xdac96b76c29e0952ull, 0xc9f25cde8b0970dbull));
+  EXPECT_EQ(r.handoff_count, 1u);
+  EXPECT_EQ(r.device_hold_count, 1u);
+  EXPECT_EQ(r.weight_rollbacks, 0u);
 }
 
 }  // namespace

@@ -44,7 +44,6 @@ PINNED = [
     "BM_FirFilterPerSample/2048",
     "BM_FxlmsCycle/1024",
     "BM_LancTick/192",
-    "BM_FdLancBlock/2048",
     "BM_AdaptiveFirStep/1024",
     "BM_ShadowObserve/704",
     "BM_LinkMonitor",

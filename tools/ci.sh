@@ -79,7 +79,7 @@ run_rt_lint() {
 
 # Filter shared with the perf-smoke workflow job: calibration + every
 # benchmark bench_gate.py pins (plus their other tap sizes, informational).
-BENCH_FILTER='BM_Calibration|BM_Kernel|BM_Fft/|BM_FirFilterPerSample|BM_FxlmsCycle|BM_FdLancBlock|BM_AdaptiveFirStep|BM_ShadowObserve|BM_FleetThroughput|BM_DeviceTick|BM_RelaySelectRound|BM_LancTick/|BM_LinkMonitor|BM_FmModDemod|BM_Resample16kTo256k'
+BENCH_FILTER='BM_Calibration|BM_Kernel|BM_Fft/|BM_FirFilterPerSample|BM_FxlmsCycle|BM_AdaptiveFirStep|BM_ShadowObserve|BM_FleetThroughput|BM_DeviceTick|BM_RelaySelectRound|BM_LancTick/|BM_LinkMonitor|BM_FmModDemod|BM_Resample16kTo256k'
 
 run_perf() {
   echo "=== job: perf smoke (bench_gate) ==="

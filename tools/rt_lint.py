@@ -105,8 +105,6 @@ REQUIRED_ROOTS = [
     "mute::adaptive::MultiFxlmsEngine::adapt",
     "mute::adaptive::AdaptiveFir::predict",
     "mute::adaptive::AdaptiveFir::update",
-    "mute::adaptive::FdFxlmsEngine::process_block",
-    "mute::adaptive::FdFxlmsEngine::adapt_block",
     "mute::adaptive::BlockFdaf::step_block",
     "mute::dsp::FirFilter::process",
     "mute::dsp::Biquad::process",
@@ -121,7 +119,6 @@ REQUIRED_ROOTS = [
     "mute::dsp::kernels::cmul_accumulate",
     "mute::dsp::kernels::cmul_conj_scaled",
     "mute::dsp::kernels::magsq_accumulate",
-    "mute::dsp::kernels::magsq_update",
     "mute::dsp::kernels::window_into_complex",
     "mute::rf::FaultInjector::process",
     "mute::core::ShadowFilter::observe",
