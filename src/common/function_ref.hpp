@@ -6,8 +6,8 @@
 namespace mute {
 
 /// Non-owning, non-allocating callable reference — the `std::function`
-/// replacement for call-scope APIs (sim::parallel_for_index, the fleet
-/// worker pool). Two words: an object pointer and a call thunk. Unlike
+/// replacement for call-scope APIs (sim::parallel_sweep's dispatch, the
+/// fleet worker pool). Two words: an object pointer and a call thunk. Unlike
 /// std::function there is no heap fallback for large captures, no virtual
 /// dispatch machinery, and copying is trivial, so a FunctionRef can be
 /// stored in scheduler state shared with worker threads without any

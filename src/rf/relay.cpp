@@ -13,6 +13,41 @@
 
 namespace mute::rf {
 
+namespace {
+
+// Stream `audio` through transmitter -> channel -> receiver in
+// kRelayLinkBlock pieces. Every stage carries its state across calls, so
+// the concatenation equals one whole-record pass; the final resize is the
+// only pad (rational-resampling rounding guard).
+template <typename Channel>
+Signal stream_link(RelayTransmitter& tx, Channel& channel, EarReceiver& rx,
+                   std::span<const Sample> audio) {
+  Signal out;
+  out.reserve(audio.size());
+  for (std::size_t start = 0; start < audio.size(); start += kRelayLinkBlock) {
+    const Signal block = rx.receive(channel.process(
+        tx.transmit(audio.subspan(
+            start, std::min(kRelayLinkBlock, audio.size() - start)))));
+    out.insert(out.end(), block.begin(), block.end());
+  }
+  out.resize(audio.size(), 0.0f);
+  return out;
+}
+
+}  // namespace
+
+std::size_t relay_block_quantum(double audio_rate) {
+  const auto [up_l, up_m] =
+      mute::dsp::rational_resample_ratio(audio_rate, kDefaultRfSampleRate);
+  const auto [down_l, down_m] =
+      mute::dsp::rational_resample_ratio(kDefaultRfSampleRate, audio_rate);
+  ensure(down_l == up_m && down_m == up_l &&
+             static_cast<double>(up_l) * audio_rate ==
+                 static_cast<double>(up_m) * kDefaultRfSampleRate,
+         "the audio rate must round-trip the RF rate exactly");
+  return up_m;
+}
+
 RelayTransmitter::RelayTransmitter(const RelayConfig& config,
                                    std::uint64_t /*seed*/)
     : cfg_(config),
@@ -23,14 +58,17 @@ RelayTransmitter::RelayTransmitter(const RelayConfig& config,
       pa_(config.pa_backoff_db) {
   ensure(kDefaultRfSampleRate >= config.audio_rate,
          "the RF rate must be at least the audio rate");
+  relay_block_quantum(config.audio_rate);  // rejects an inexact round trip
 }
 
 ComplexSignal RelayTransmitter::transmit(std::span<const Sample> audio) {
   Signal conditioned = front_end_.process(audio);
   if (cfg_.scramble) {
-    // Spectral inversion: f -> fs/2 - f at the audio rate.
-    for (std::size_t i = 0; i < conditioned.size(); ++i) {
-      if (i & 1) conditioned[i] = -conditioned[i];
+    // Spectral inversion: f -> fs/2 - f at the audio rate. The sample
+    // parity carries across blocks via scramble_phase_.
+    for (auto& v : conditioned) {
+      if (scramble_phase_) v = -v;
+      scramble_phase_ = !scramble_phase_;
     }
   }
   // Analog interpolation to the RF processing rate. The streaming
@@ -45,13 +83,16 @@ void RelayTransmitter::reset() {
   front_end_.reset();
   upsampler_.reset();
   modulator_.reset();
+  scramble_phase_ = false;
 }
 
 EarReceiver::EarReceiver(const RelayConfig& config, std::uint64_t /*seed*/)
     : cfg_(config),
       select_(kRxBandwidthHz, kDefaultRfSampleRate),
       demodulator_(kFmDeviationHz, kDefaultRfSampleRate),
-      downsampler_(kDefaultRfSampleRate, config.audio_rate) {}
+      downsampler_(kDefaultRfSampleRate, config.audio_rate) {
+  relay_block_quantum(config.audio_rate);  // rejects an inexact round trip
+}
 
 Signal EarReceiver::receive(std::span<const Complex> rf) {
   ComplexSignal selected = select_.process(rf);
@@ -83,11 +124,7 @@ RelayLink::RelayLink(const RelayConfig& config, std::uint64_t seed)
       rx_(config, seed + 2) {}
 
 Signal RelayLink::process(std::span<const Sample> audio) {
-  ComplexSignal rf = tx_.transmit(audio);
-  ComplexSignal faded = channel_.process(rf);
-  Signal out = rx_.receive(faded);
-  out.resize(audio.size(), 0.0f);  // rational-resampling rounding guard
-  return out;
+  return stream_link(tx_, channel_, rx_, audio);
 }
 
 void RelayLink::set_fault_schedule(FaultSchedule schedule) {
@@ -164,11 +201,7 @@ Signal RelayLink::eavesdrop(std::span<const Sample> audio) {
   RelayTransmitter tx(tx_cfg, seed_);
   RfChannel channel(cfg_.channel, kDefaultRfSampleRate, seed_ + 1);
   EarReceiver rx(eaves_cfg, seed_ + 2);
-  ComplexSignal rf = tx.transmit(audio);
-  ComplexSignal faded = channel.process(rf);
-  Signal out = rx.receive(faded);
-  out.resize(audio.size(), 0.0f);
-  return out;
+  return stream_link(tx, channel, rx, audio);
 }
 
 void RelayLink::reset() {

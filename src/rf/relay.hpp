@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -21,6 +22,21 @@ inline constexpr double kFmDeviationHz = 60'000.0;    // wideband-FM-style
 inline constexpr double kRxBandwidthHz = 180'000.0;   // channel select (Carson)
 static_assert(kDefaultRfSampleRate > 2 * kFmDeviationHz,
               "the RF rate must exceed twice the FM deviation");
+
+/// Audio samples per internal block of RelayLink::process: 1024 at 16 kHz
+/// is 16384 RF samples, ~256 KB per complex intermediate (chosen by
+/// measurement, DESIGN.md §4b).
+inline constexpr std::size_t kRelayLinkBlock = 1024;
+
+/// Audio samples per exact RF round trip at `audio_rate`: the denominator
+/// of the audio -> RF up-ratio (1 at 16 kHz, 3 at 48 kHz). A
+/// RelayLink::process call whose length is a whole multiple of it returns
+/// exactly its own length of received audio, so successive calls
+/// concatenate to one whole-record call. Throws PreconditionError for a
+/// rate whose up and down ratios are not exact inverses (44.1 kHz: the
+/// down ratio 441/2560 has no denominator the resampler search reaches),
+/// since such a link would drift against the acoustic path.
+std::size_t relay_block_quantum(double audio_rate);
 
 /// Configuration of the end-to-end relay link.
 struct RelayConfig {
@@ -45,9 +61,10 @@ struct RelayConfig {
 /// complex baseband stream is at kDefaultRfSampleRate. No sample is ever
 /// stored.
 ///
-/// Every stage is streaming-stateful (biquads, VCO phase, and the
-/// interpolator's carried input tail), so splitting a record into blocks
-/// produces the bit-identical stream a single whole-record call would.
+/// Every stage is streaming-stateful (biquads, VCO phase, the scrambler's
+/// sample parity and the interpolator's carried input tail), so splitting
+/// a record into blocks produces the bit-identical stream a single
+/// whole-record call would.
 class RelayTransmitter {
  public:
   RelayTransmitter(const RelayConfig& config, std::uint64_t seed);
@@ -64,6 +81,7 @@ class RelayTransmitter {
   mute::dsp::StreamingResampler upsampler_;
   FmModulator modulator_;
   PowerAmplifier pa_;
+  bool scramble_phase_ = false;
 };
 
 /// The ear-device receiver: channel-select filter -> FM discriminator ->
@@ -97,7 +115,12 @@ class RelayLink {
 
   /// Push audio through TX -> channel -> RX. Output length == input length
   /// (the link's filters introduce group delay *within* the stream, which
-  /// is the realistic behaviour the ANC must budget for).
+  /// is the realistic behaviour the ANC must budget for). Streams
+  /// internally in kRelayLinkBlock pieces, so the RF intermediates stay
+  /// bounded whatever the record length; the result is bit-identical to
+  /// one whole-record pass, padded only at the end. Successive calls
+  /// concatenate exactly when each length is a whole multiple of
+  /// relay_block_quantum(audio_rate); otherwise each call pads on its own.
   Signal process(std::span<const Sample> audio);
 
   /// Estimate the link group delay by cross-correlating a white probe with

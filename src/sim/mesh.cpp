@@ -152,7 +152,8 @@ MeshSimResult run_mesh_simulation(audio::SoundSource& noise,
   const std::size_t relay_count = streams.x.size();
 
   // Persistent per-relay RF chains. Every stage is streaming-stateful, so
-  // block boundaries are invisible to the audio path.
+  // block boundaries that fall on whole RF round trips are invisible to
+  // the audio path.
   std::vector<rf::RelayLink> links;
   if (dc.use_rf_link) {
     links.reserve(relay_count);
@@ -175,8 +176,13 @@ MeshSimResult run_mesh_simulation(audio::SoundSource& noise,
     }
   }
 
-  const auto block = std::max<std::size_t>(
-      1, static_cast<std::size_t>(config.control_block_s * fs));
+  // Round the block down to a whole RF round trip (at least one): each
+  // link call then returns exactly its block, so the per-block stream
+  // equals the whole-record one. The quantum is 1 at 16 kHz.
+  const std::size_t quantum =
+      links.empty() ? 1 : rf::relay_block_quantum(fs);
+  const auto raw = static_cast<std::size_t>(config.control_block_s * fs);
+  const std::size_t block = std::max(quantum, raw / quantum * quantum);
   MeshSimResult out = run_device_blocks(
       streams, links, planner.has_value() ? &*planner : nullptr, block);
   out.final_channels.resize(relay_count, 0);

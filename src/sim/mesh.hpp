@@ -25,7 +25,9 @@ struct MeshSimConfig {
   /// source) and device_sim.use_rf_link (something to retune).
   bool spectrum_supervision = true;
   /// Planner consult cadence; also the RF streaming block (16 ms default —
-  /// control-plane latency, far below any fault hold timeout).
+  /// control-plane latency, far below any fault hold timeout). Rounded
+  /// down to a whole multiple of rf::relay_block_quantum (at least one)
+  /// when RF is on, so the block size never reaches the audio path.
   double control_block_s = 0.016;
 };
 

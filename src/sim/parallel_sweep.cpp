@@ -16,6 +16,8 @@ std::size_t default_sweep_workers() {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
+namespace detail {
+
 void parallel_for_index(std::size_t count, std::size_t workers,
                         FunctionRef<void(std::size_t)> body) {
   if (count == 0) return;
@@ -30,5 +32,7 @@ void parallel_for_index(std::size_t count, std::size_t workers,
   WorkerPool pool(workers);  // transient: workers-1 threads for this sweep
   pool.run(count, body);
 }
+
+}  // namespace detail
 
 }  // namespace mute::sim

@@ -11,6 +11,7 @@
 #include "dsp/fir_design.hpp"
 #include "dsp/delay_line.hpp"
 #include "dsp/signal_ops.hpp"
+#include "sim/parallel_sweep.hpp"
 
 namespace mute::sim {
 
@@ -498,10 +499,12 @@ DeviceStreams prepare_device_streams(audio::SoundSource& noise,
   for (auto& xs : x) scale_to(xs, 0.1);
 
   // --- 3. Per-relay RF chains (each with its own fault script) ---------
+  // Relays run in parallel: relay k's link derives from (config, k) alone
+  // and reads only x[k], the determinism contract of parallel_sweep.
   if (config.use_rf_link) {
-    for (std::size_t k = 0; k < relay_count; ++k) {
-      x[k] = detail::make_relay_link(config, k, fs).process(x[k]);
-    }
+    x = parallel_sweep(relay_count, [&](std::size_t k) {
+      return detail::make_relay_link(config, k, fs).process(x[k]);
+    });
   }
 
   // --- 4. Anti-noise plant (latency budget inside, as in the offline

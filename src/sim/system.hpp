@@ -258,8 +258,9 @@ struct DeviceStreams {
 
 /// Synthesize the inputs of a device-level run: noise record with quiet
 /// lead-in, acoustic paths, loud-region level normalization, per-relay RF
-/// chains over the whole record, effective secondary path. Deterministic
-/// in (noise, config).
+/// chains over the whole record (the relays in parallel, on
+/// default_sweep_workers()), effective secondary path. Deterministic in
+/// (noise, config), whatever the worker count.
 DeviceStreams prepare_device_streams(audio::SoundSource& noise,
                                      const DeviceSimConfig& config);
 

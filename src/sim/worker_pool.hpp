@@ -16,11 +16,11 @@ namespace mute::sim {
 
 /// The one scheduler implementation (DESIGN.md §14): a fixed pool of
 /// parked worker threads with an atomic-counter work-stealing dispatch.
-/// `parallel_for_index` spins up a transient pool per sweep (preserving
-/// its historical semantics); the fleet runtime keeps one alive for its
-/// whole life and dispatches a job per audio block.
+/// `parallel_sweep` spins up a transient pool per sweep; the fleet runtime
+/// keeps one alive for its whole life and dispatches a job per audio
+/// block.
 ///
-/// Dispatch contract (same as parallel_for_index always had):
+/// Dispatch contract:
 ///   - run(count, body) invokes body(0)..body(count-1) exactly once each;
 ///     the calling thread participates, so a 1-worker pool runs inline
 ///     with no cross-thread traffic at all.

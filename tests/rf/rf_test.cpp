@@ -1,13 +1,18 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include <gtest/gtest.h>
 
 #include "audio/generators.hpp"
+#include "common/error.hpp"
 #include "common/math_utils.hpp"
 #include "dsp/signal_ops.hpp"
 #include "dsp/spectral.hpp"
 #include "rf/fm.hpp"
 #include "rf/frontend.hpp"
+#include "rf/impairments.hpp"
 #include "rf/oscillator.hpp"
 #include "rf/relay.hpp"
 #include "rf/rf_channel.hpp"
@@ -180,6 +185,80 @@ TEST(RelayLink, WorseSnrDegradesSndr) {
   bad_cfg.channel.snr_db = 8.0;
   RelayLink good(good_cfg, 17), bad(bad_cfg, 17);
   EXPECT_GT(good.measure_sndr_db(1000.0), bad.measure_sndr_db(1000.0) + 3.0);
+}
+
+// The pipeline RelayLink::process computed before it streamed internally:
+// one whole-record pass per stage and one final pad.
+Signal whole_record_reference(const RelayConfig& cfg, std::uint64_t seed,
+                              std::span<const Sample> audio) {
+  RelayTransmitter tx(cfg, seed);
+  FaultInjector channel(cfg.faults, cfg.channel, kDefaultRfSampleRate,
+                        seed + 1);
+  EarReceiver rx(cfg, seed + 2);
+  Signal out = rx.receive(channel.process(tx.transmit(audio)));
+  out.resize(audio.size(), 0.0f);
+  return out;
+}
+
+void expect_same_bits(const Signal& a, const Signal& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(a[i]),
+              std::bit_cast<std::uint32_t>(b[i]))
+        << "diverged at sample " << i;
+  }
+}
+
+TEST(RelayLink, StreamedProcessMatchesTheWholeRecordPipeline) {
+  struct Case {
+    double audio_rate;
+    bool scramble;
+  };
+  for (const Case c : {Case{16000.0, false}, Case{48000.0, true}}) {
+    RelayConfig cfg;
+    cfg.audio_rate = c.audio_rate;
+    cfg.scramble = c.scramble;
+    // Drift keeps a fractional-delay ring and impulses draw from the
+    // injector's RNG: both carry state across the internal block seams.
+    cfg.faults.clock_drift(0.02, 0.1, 300.0)
+        .impulse_noise(0.05, 0.05, 2000.0, 5.0);
+    // Not a whole number of internal blocks: the last one is partial.
+    const std::size_t n = 5 * kRelayLinkBlock + 317;
+    audio::WhiteNoiseSource noise(0.1, 21);
+    const Signal in = noise.generate(n);
+    RelayLink link(cfg, 31);
+    SCOPED_TRACE(c.audio_rate);
+    expect_same_bits(link.process(in), whole_record_reference(cfg, 31, in));
+  }
+}
+
+TEST(RelayLink, CallsOnWholeRoundTripsConcatenateExactly) {
+  RelayConfig cfg;
+  cfg.audio_rate = 48000.0;
+  cfg.scramble = true;  // odd calls: the scrambler parity must carry over
+  const std::size_t quantum = relay_block_quantum(cfg.audio_rate);
+  ASSERT_EQ(quantum, 3u);
+  audio::WhiteNoiseSource noise(0.1, 22);
+  const Signal in = noise.generate(20 * 161 * quantum);
+  RelayLink whole(cfg, 41);
+  RelayLink blocks(cfg, 41);
+  Signal streamed;
+  for (std::size_t start = 0; start < in.size(); start += 161 * quantum) {
+    const Signal part = blocks.process(
+        std::span<const Sample>(in).subspan(start, 161 * quantum));
+    streamed.insert(streamed.end(), part.begin(), part.end());
+  }
+  expect_same_bits(streamed, whole.process(in));
+}
+
+TEST(RelayLink, RejectsAudioRatesThatCannotRoundTripExactly) {
+  EXPECT_EQ(relay_block_quantum(16000.0), 1u);
+  EXPECT_EQ(relay_block_quantum(8000.0), 1u);
+  for (const double rate : {44100.0, 22050.0}) {
+    RelayConfig cfg;
+    cfg.audio_rate = rate;
+    EXPECT_THROW(RelayLink(cfg, 1), PreconditionError) << rate;
+  }
 }
 
 class FmDeviationTest : public ::testing::TestWithParam<double> {};

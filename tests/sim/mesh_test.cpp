@@ -96,6 +96,34 @@ TEST(MeshSim, ControlBlockSizeDoesNotChangeTheResult) {
   }
 }
 
+TEST(MeshSim, BlocksOffTheRfRoundTripStayBitIdenticalAt48kHz) {
+  // At 48 kHz one exact RF round trip is 3 audio samples. A 0.0101 s
+  // control block (484 samples) is not a whole number of them; the mesh
+  // rounds it down to one, so every per-block link call returns exactly
+  // its block and the stream matches the device sim's whole record.
+  DeviceSimConfig cfg = two_relay_config();
+  cfg.scene.sample_rate = 48000.0;
+  cfg.duration_s = 2.5;
+  cfg.device.calibration_s = 0.5;
+
+  audio::WhiteNoiseSource noise_a(0.1, 1011);
+  const SystemResult device = run_device_simulation(noise_a, cfg);
+  ASSERT_GT(device.noncausal_taps, 0u) << "the device must go live";
+
+  MeshSimConfig mesh;
+  mesh.device_sim = cfg;
+  mesh.spectrum_supervision = false;
+  mesh.control_block_s = 0.0101;
+  audio::WhiteNoiseSource noise_b(0.1, 1011);
+  const MeshSimResult m = run_mesh_simulation(noise_b, mesh);
+
+  ASSERT_EQ(m.system.residual.size(), device.residual.size());
+  for (std::size_t i = 0; i < device.residual.size(); ++i) {
+    ASSERT_EQ(m.system.residual[i], device.residual[i])
+        << "mesh residual diverged from the device sim at sample " << i;
+  }
+}
+
 TEST(MeshSim, RelaysStartOnTheirHomeChannels) {
   MeshSimConfig mesh;
   mesh.device_sim = two_relay_config();

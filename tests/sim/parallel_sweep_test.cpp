@@ -1,7 +1,8 @@
 // sim::parallel_sweep (DESIGN.md §10): ordered results, thread-count
 // invariance under the determinism contract, exception propagation, and
-// edge counts. The same tests run under the tsan preset to prove the
-// runner itself is race-free.
+// edge counts; and the WorkerPool dispatch it runs on (every index exactly
+// once, lane placement). The same tests run under the tsan preset to prove
+// the runner itself is race-free.
 #include <gtest/gtest.h>
 
 #if defined(__linux__)
@@ -19,6 +20,7 @@
 
 #include "common/rng.hpp"
 #include "sim/parallel_sweep.hpp"
+#include "sim/worker_pool.hpp"
 
 namespace {
 
@@ -96,24 +98,29 @@ TEST(ParallelSweep, AbandonsRemainingWorkAfterFailure) {
     ~OpenOnUnwind() { latch.count_down(); }
   };
   try {
-    sim::parallel_for_index(10000, 4, [&](std::size_t i) {
-      started.fetch_add(1, std::memory_order_relaxed);
-      if (i == 0) {
-        const OpenOnUnwind open{failing};
-        throw std::runtime_error("early failure");
-      }
-      failing.wait();
-    });
+    sim::parallel_sweep(
+        10000,
+        [&](std::size_t i) {
+          started.fetch_add(1, std::memory_order_relaxed);
+          if (i == 0) {
+            const OpenOnUnwind open{failing};
+            throw std::runtime_error("early failure");
+          }
+          failing.wait();
+          return i;
+        },
+        4);
     FAIL() << "expected the exception to propagate";
   } catch (const std::runtime_error&) {
   }
   EXPECT_LT(started.load(), 10000U);
 }
 
-TEST(ParallelForIndex, CoversEveryIndexExactlyOnce) {
+TEST(WorkerPool, CoversEveryIndexExactlyOnce) {
   for (const std::size_t workers : {1UL, 3UL, 8UL}) {
     std::vector<std::atomic<int>> hits(257);
-    sim::parallel_for_index(hits.size(), workers, [&](std::size_t i) {
+    sim::WorkerPool pool(workers);
+    pool.run(hits.size(), [&](std::size_t i) {
       hits[i].fetch_add(1, std::memory_order_relaxed);
     });
     for (std::size_t i = 0; i < hits.size(); ++i) {
@@ -123,7 +130,7 @@ TEST(ParallelForIndex, CoversEveryIndexExactlyOnce) {
 }
 
 #if defined(__linux__)
-TEST(ParallelForIndex, LanesKeepTheCallersCpuSet) {
+TEST(WorkerPool, LanesKeepTheCallersCpuSet) {
   // The pool starts each helper lane on a CPU of its own and then gives
   // the lane back every CPU the caller may use: the start is a placement
   // hint, never a pin.
@@ -136,7 +143,8 @@ TEST(ParallelForIndex, LanesKeepTheCallersCpuSet) {
   std::mutex m;
   std::set<std::thread::id> lanes;
   std::atomic<int> same_set{0};
-  sim::parallel_for_index(kWorkers, kWorkers, [&](std::size_t) {
+  sim::WorkerPool pool(kWorkers);
+  pool.run(kWorkers, [&](std::size_t) {
     all_running.arrive_and_wait();
     cpu_set_t mine;
     CPU_ZERO(&mine);

@@ -18,12 +18,19 @@
 // whose instrumentation keeps the clone unfused). Those two pins therefore
 // record one hash per rounding.
 //
+// The device path's inputs: prepare_device_streams on a four-relay profile
+// shaped like bench/e2e's mesh4_churn (RF on, relay-0 dropout), pinned per
+// stream. The relays are synthesized in parallel, so this pins that relay
+// k's stream comes from seed + 100 + k and lands in slot k. These streams
+// do not pass through kernels::cmul_accumulate and carry one hash each.
+//
 // A refactor that keeps these values must keep the hashes; a deliberate
 // behaviour change re-records them and says so.
 
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -42,7 +49,7 @@ namespace {
 constexpr double kFs = 16000.0;
 
 // FNV-1a over the IEEE bit pattern of every sample.
-std::uint64_t residual_hash(const Signal& residual) {
+std::uint64_t bits_hash(const Signal& residual) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   for (const Sample s : residual) {
     const auto bits = std::bit_cast<std::uint32_t>(s);
@@ -83,7 +90,7 @@ TEST(SystemGolden, SupervisedProfilingRunOverRfIsPinned) {
   auto noise = make_noise(NoiseKind::kMaleVoice, kFs, 7);
   const auto r = run_anc_simulation(*noise, cfg);
   EXPECT_GT(r.profile_switches, 0u);  // the profiler acted
-  EXPECT_EQ(residual_hash(r.residual), 0x825ec0cb52439f39ull);
+  EXPECT_EQ(bits_hash(r.residual), 0x825ec0cb52439f39ull);
 }
 
 TEST(SystemGolden, FaultScenarioRunIsPinned) {
@@ -94,7 +101,7 @@ TEST(SystemGolden, FaultScenarioRunIsPinned) {
   auto noise = make_noise(NoiseKind::kWhite, kFs, 11);
   const auto r = run_anc_simulation(*noise, cfg);
   EXPECT_GT(r.link_fault_samples, 0u);  // the monitor saw the fault
-  EXPECT_EQ(residual_hash(r.residual), 0xff0be92388500c6cull);
+  EXPECT_EQ(bits_hash(r.residual), 0xff0be92388500c6cull);
 }
 
 TEST(SystemGolden, OneRelayDeviceRunOverRfIsPinned) {
@@ -104,7 +111,7 @@ TEST(SystemGolden, OneRelayDeviceRunOverRfIsPinned) {
   cfg.device.calibration_s = 1.0;
   audio::WhiteNoiseSource noise(0.1, 505);
   const SystemResult r = run_device_simulation(noise, cfg);
-  EXPECT_EQ(residual_hash(r.residual),
+  EXPECT_EQ(bits_hash(r.residual),
             device_hash(0x9cd64253bf193d06ull, 0x00aa3b7b2b081d79ull));
   EXPECT_EQ(r.handoff_count, 0u);
   EXPECT_EQ(r.device_hold_count, 0u);
@@ -131,11 +138,34 @@ TEST(SystemGolden, MeshDropoutHandoffRunIsPinned) {
   ASSERT_GE(r.handoff_count, 1u);         // retarget ran
   ASSERT_GE(r.shadow_handoff_count, 1u);  // install_converged ran
   ASSERT_GE(r.device_hold_count, 1u);     // hold ran
-  EXPECT_EQ(residual_hash(r.residual),
+  EXPECT_EQ(bits_hash(r.residual),
             device_hash(0xdac96b76c29e0952ull, 0xc9f25cde8b0970dbull));
   EXPECT_EQ(r.handoff_count, 1u);
   EXPECT_EQ(r.device_hold_count, 1u);
   EXPECT_EQ(r.weight_rollbacks, 0u);
+}
+
+TEST(SystemGolden, FourRelayDeviceStreamsArePinned) {
+  DeviceSimConfig cfg;
+  cfg.duration_s = 3.0;
+  cfg.seed = 13;
+  for (std::size_t k = 0; k < 4; ++k) {
+    cfg.relay_positions.push_back(
+        {2.0 + 0.2 * static_cast<double>(k), 2.5, 1.5});
+  }
+  cfg.device.calibration_s = 0.25;
+  cfg.relay_faults = {
+      make_fault_schedule(FaultScenario::kRelayDropout, 1.5, 0.5)};
+  audio::WhiteNoiseSource noise(0.1, 778);
+  const DeviceStreams s = prepare_device_streams(noise, cfg);
+  EXPECT_EQ(bits_hash(s.d), 0xd4051d59b62a0f52ull);
+  constexpr std::uint64_t kRelayHash[] = {
+      0x4cc767455726d580ull, 0x838186e748bf7312ull, 0xda4ae29a09b21de7ull,
+      0x97ddbe6d348e6bbeull};
+  ASSERT_EQ(s.x.size(), std::size(kRelayHash));
+  for (std::size_t k = 0; k < s.x.size(); ++k) {
+    EXPECT_EQ(bits_hash(s.x[k]), kRelayHash[k]) << "relay " << k;
+  }
 }
 
 }  // namespace

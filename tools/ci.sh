@@ -107,13 +107,19 @@ run_soak_smoke() {
 # Small but real fleet churn: mixed profiles (one with a scripted relay
 # dropout), admit/drain rounds, per-tenant never-louder verdicts, and the
 # zero worker-lane heap allocation contract. Exits non-zero on any
-# violation; the JSON verdict is the CI artifact.
+# violation; the JSON verdict is the CI artifact. A second run on one
+# worker must write the same bytes (the report has no wall-clock field):
+# the fleet's lanes and the parallel relay synthesis of its two-relay RF
+# profile must not depend on the worker count (DESIGN.md §10.4).
 run_fleet_smoke() {
   echo "=== job: fleet smoke (multi-tenant runtime invariants) ==="
   cmake --preset dev
   cmake --build --preset dev -j "$JOBS" --target fleet_soak
   ./build-dev/bench/fleet_soak \
     --devices 64 --sim-seconds 3 --json fleet-soak-report.json
+  MUTE_SWEEP_THREADS=1 ./build-dev/bench/fleet_soak \
+    --devices 64 --sim-seconds 3 --json fleet-soak-report-1worker.json
+  cmp fleet-soak-report.json fleet-soak-report-1worker.json
 }
 
 # The fleet-serving benchmark's own smoke mode (~35 s): builds bench/e2e
