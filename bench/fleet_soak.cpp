@@ -5,7 +5,9 @@
 // tenant's ear may end up meaningfully louder than passive in any
 // disturbance-audible window, fault episodes included. Also enforces the
 // fleet memory contract: zero global-heap allocations from worker lanes
-// in steady state (when the operator-new interposition is compiled in).
+// in steady state (when the operator-new interposition is compiled in),
+// and reports the largest tenant arena high water (the arena-sizing
+// signal, in bytes).
 //
 // Prints the worst offenders and an aggregate verdict, optionally writes
 // a JSON artifact, and exits non-zero on any violation — every failure
@@ -199,8 +201,10 @@ int main(int argc, char** argv) try {
   // Verdicts: every tenant that saw at least one disturbance-audible
   // window, evicted or still live.
   std::vector<Verdict> verdicts;
+  std::size_t arena_high_water_max = 0;  // bytes, over judged tenants
   const auto judge = [&](const mute::sim::TenantStats& s) {
     if (s.windows == 0) return;  // drained before any audible window
+    arena_high_water_max = std::max(arena_high_water_max, s.arena_high_water);
     Verdict v;
     v.tenant = s.id;
     v.profile = s.profile;
@@ -236,6 +240,8 @@ int main(int argc, char** argv) try {
   std::printf("\nworker-lane heap allocations in steady state: %llu%s\n",
               static_cast<unsigned long long>(heap),
               heap_tracked ? "" : " (untracked: interposition compiled out)");
+  std::printf("largest tenant arena high water: %zu bytes\n",
+              arena_high_water_max);
 
   const bool all_passed = failed == 0 && heap_clean && !verdicts.empty();
   if (!json_path.empty()) {
@@ -249,6 +255,7 @@ int main(int argc, char** argv) try {
         << ",\n  \"failed\": " << failed
         << ",\n  \"heap_allocations\": " << heap
         << ",\n  \"heap_tracked\": " << (heap_tracked ? "true" : "false")
+        << ",\n  \"arena_high_water_max\": " << arena_high_water_max
         << ",\n  \"passed\": " << (all_passed ? "true" : "false")
         << ",\n  \"worst\": [\n";
     for (std::size_t i = 0; i < shown; ++i) {

@@ -206,6 +206,10 @@ ScopedArenaAlloc::ScopedArenaAlloc(MonotonicArena& arena) noexcept
 
 ScopedArenaAlloc::~ScopedArenaAlloc() { detail::t_active_arena = prev_; }
 
+bool ScopedArenaAlloc::installed() noexcept {
+  return detail::t_active_arena != nullptr;
+}
+
 bool ScopedArenaAlloc::routing_enabled() noexcept {
   return RtAllocationGuard::interposition_enabled();
 }

@@ -147,6 +147,9 @@ class ScopedArenaAlloc {
   /// RtAllocationGuard::interposition_enabled()).
   static bool routing_enabled() noexcept;
 
+  /// Whether a scope is installed on the calling thread.
+  static bool installed() noexcept;
+
  private:
   MonotonicArena* prev_;
 };

@@ -25,8 +25,13 @@ struct GccPhatPeak {
 
 /// Plan-based GCC-PHAT (Brandstein & Silverman): correlates R relay
 /// records against one error-mic record of the same interval, every
-/// record `record_len` samples long. All buffers are sized at
-/// construction; run() allocates nothing.
+/// record `record_len` samples long. The plan owns what lives from one
+/// round to the next: the capture records, the correlation windows and
+/// the peaks. The transform buffers are dead between rounds, so they are
+/// one round scratch per thread, shared by every plan that runs on it:
+/// the constructor grows the building thread's scratch, a thread that
+/// runs rounds for plans built elsewhere grows its own with
+/// reserve_thread_scratch(), and run() allocates nothing.
 ///
 /// A round zero-pads each record to nfft = next_pow2(2 * record_len) and
 /// spends ceil((R+1)/2) forward and ceil(R/2) inverse complex transforms,
@@ -51,8 +56,15 @@ class GccPhatPlan {
   std::span<Sample> relay_record(std::size_t i) { return record(1 + i); }
 
   /// Correlate every relay record against the error record; results in
-  /// peaks() and correlation().
+  /// peaks() and correlation(). Aborts (MUTE_ASSERT) when the calling
+  /// thread's round scratch is too small for this plan.
   MUTE_RT_SAFE void run();
+
+  /// Grow the calling thread's round scratch to cover plans of records up
+  /// to `record_len` samples. Growth allocates on the global heap, so it
+  /// must never run with a tenant arena installed (MUTE_ASSERT); a call
+  /// that finds the scratch large enough does nothing.
+  static void reserve_thread_scratch(std::size_t record_len);
 
   /// Per-relay peaks of the last run().
   std::span<const GccPhatPeak> peaks() const { return peaks_; }
@@ -70,9 +82,10 @@ class GccPhatPlan {
   std::span<Sample> record(std::size_t k) {
     return {records_.data() + k * n_, n_};
   }
-  void load_pair(std::size_t a, std::size_t b);
-  void cross_pair(std::size_t first_relay);
-  void scan(std::size_t relay, bool imag_part);
+  void load_pair(std::span<Complex> work, std::size_t a, std::size_t b);
+  void cross_pair(std::span<Complex> work, std::span<Complex> err_spec,
+                  std::size_t first_relay) const;
+  void scan(std::span<const Complex> work, std::size_t relay, bool imag_part);
 
   std::size_t n_;
   std::size_t nfft_;
@@ -81,8 +94,6 @@ class GccPhatPlan {
   std::size_t window_;  // 2 * max_lag_ + 1
   std::vector<Sample> records_;  // error, relay 0, ..., relay R-1
   std::vector<bool> silent_;     // per record: all samples zero
-  ComplexSignal work_;           // nfft_: forward, then inverse transform
-  ComplexSignal err_spec_;       // nfft_ / 2 + 1: error-mic half-spectrum
   std::vector<double> corr_;     // relay-major correlation windows
   std::vector<GccPhatPeak> peaks_;
 };

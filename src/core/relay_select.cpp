@@ -45,6 +45,10 @@ void rank_round(std::span<const GccPhatPeak> peaks,
   if (!out.ranked.empty()) out.chosen = out.ranked.front();
 }
 
+std::size_t period_samples(double sample_rate, double period_s) {
+  return static_cast<std::size_t>(period_s * sample_rate);
+}
+
 }  // namespace
 
 RelaySelection select_relay(std::span<const Signal> relay_streams,
@@ -70,11 +74,16 @@ RelaySelection select_relay(std::span<const Signal> relay_streams,
 
 RelaySelector::RelaySelector(std::size_t relay_count, double sample_rate,
                              double period_s, RelaySelectorOptions options)
-    : period_samples_(static_cast<std::size_t>(period_s * sample_rate)),
+    : period_samples_(period_samples(sample_rate, period_s)),
       opts_(options),
       plan_(relay_count, period_samples_, sample_rate, options.max_lag_s),
       selection_(sized_selection(relay_count)) {
   ensure(period_samples_ >= 256, "selection period too short");
+}
+
+void RelaySelector::reserve_round_scratch(double sample_rate,
+                                          double period_s) {
+  GccPhatPlan::reserve_thread_scratch(period_samples(sample_rate, period_s));
 }
 
 double standby_score(const RelayMeasurement& m, double needed_lookahead_s) {

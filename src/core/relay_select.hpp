@@ -97,6 +97,12 @@ class RelaySelector {
 
   std::size_t relay_count() const { return plan_.relay_count(); }
 
+  /// Grow the calling thread's GCC-PHAT round scratch for selectors of
+  /// this rate and period (GccPhatPlan::reserve_thread_scratch). A thread
+  /// that runs push() for selectors built on another thread calls this
+  /// first, with no tenant arena installed.
+  static void reserve_round_scratch(double sample_rate, double period_s);
+
  private:
   std::size_t period_samples_;
   RelaySelectorOptions opts_;

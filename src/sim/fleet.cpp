@@ -5,6 +5,7 @@
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
+#include "core/relay_select.hpp"
 
 namespace mute::sim {
 
@@ -94,6 +95,14 @@ std::size_t FleetRuntime::add_profile(FleetProfile profile) {
   ensure(profile.loop_start == FleetProfile::kNoLoop ||
              profile.loop_start < profile.length(),
          "fleet profile loop point out of range");
+  // A tenant is built on one lane but runs its selection rounds on
+  // whichever lane claims it, so every lane holds a round scratch big
+  // enough for this profile's devices before any tenant is admitted.
+  const core::MuteDeviceConfig& device = profile.streams.device;
+  pool_.run_on_each_lane([&](std::size_t) {
+    core::RelaySelector::reserve_round_scratch(device.sample_rate,
+                                               device.selection_period_s);
+  });
   profiles_.push_back(std::move(profile));
   return profiles_.size() - 1;
 }

@@ -115,7 +115,9 @@ struct TenantStats {
 /// rounds, handoffs), teardown — lands in that tenant's private
 /// MonotonicArena via ScopedArenaAlloc; the steady state never touches
 /// the global heap from worker threads (RtAllocationGuard-clean, counted
-/// per block and surfaced by steady_allocations()).
+/// per block and surfaced by steady_allocations()). The GCC-PHAT round
+/// scratch is not the tenant's: dead between rounds, it is one per lane,
+/// grown on every lane by add_profile() outside any arena.
 ///
 /// Scheduling: the live-tenant schedule is profile-major (tenants sharing
 /// a profile are contiguous), cut into `batch_tenants` work items, and
@@ -140,7 +142,8 @@ class FleetRuntime {
   FleetRuntime& operator=(const FleetRuntime&) = delete;
 
   /// Register an input profile; returns its id. Profiles are immutable
-  /// once registered (worker lanes read them concurrently).
+  /// once registered (worker lanes read them concurrently). Grows every
+  /// lane's selection-round scratch for the profile's devices.
   std::size_t add_profile(FleetProfile profile);
   const FleetProfile& profile(std::size_t id) const;
   std::size_t profile_count() const { return profiles_.size(); }

@@ -63,9 +63,9 @@ WorkerPool::WorkerPool(std::size_t workers)
       workers_ > 1 ? helper_start_cpus() : std::vector<int>{};
   for (std::size_t w = 1; w < workers_; ++w) {
     const int cpu = cpus.empty() ? -1 : cpus[(w - 1) % cpus.size()];
-    threads_.emplace_back([this, cpu] {
+    threads_.emplace_back([this, cpu, w] {
       if (cpu >= 0) start_on(cpu);
-      worker_loop();
+      worker_loop(w);
     });
   }
 }
@@ -79,36 +79,47 @@ WorkerPool::~WorkerPool() {
   for (auto& t : threads_) t.join();
 }
 
-void WorkerPool::drain(const FunctionRef<void(std::size_t)>& body) {
-  for (;;) {
-    if (failed_.load(std::memory_order_acquire)) return;
-    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= count_) return;
-    try {
-      body(i);
-    } catch (...) {
-      {
-        const std::lock_guard<std::mutex> lock(error_m_);
-        if (first_error_ == nullptr) first_error_ = std::current_exception();
-      }
-      failed_.store(true, std::memory_order_release);
-      return;
+// body(index), keeping the first exception any lane throws for the
+// caller; failed_ then stops further claims.
+void WorkerPool::run_guarded(const FunctionRef<void(std::size_t)>& body,
+                             std::size_t index) {
+  try {
+    body(index);
+  } catch (...) {
+    {
+      const std::lock_guard<std::mutex> lock(error_m_);
+      if (first_error_ == nullptr) first_error_ = std::current_exception();
     }
+    failed_.store(true, std::memory_order_release);
   }
 }
 
-void WorkerPool::worker_loop() {
+void WorkerPool::drain(const FunctionRef<void(std::size_t)>& body) {
+  while (!failed_.load(std::memory_order_acquire)) {
+    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= count_) return;
+    run_guarded(body, i);
+  }
+}
+
+void WorkerPool::worker_loop(std::size_t lane) {
   std::uint64_t seen = 0;
   for (;;) {
     std::optional<FunctionRef<void(std::size_t)>> body;
+    bool each_lane = false;
     {
       std::unique_lock<std::mutex> lock(m_);
       cv_work_.wait(lock, [&] { return stop_ || epoch_ != seen; });
       if (stop_) return;
       seen = epoch_;
       body.emplace(*body_);  // two-word copy under the lock, no allocation
+      each_lane = each_lane_;
     }
-    drain(*body);
+    if (each_lane) {
+      run_guarded(*body, lane);
+    } else {
+      drain(*body);
+    }
     {
       const std::lock_guard<std::mutex> lock(m_);
       if (--busy_ == 0) cv_done_.notify_one();
@@ -125,11 +136,24 @@ void WorkerPool::run(std::size_t count,
     for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }
+  dispatch(count, body, /*each_lane=*/false);
+}
+
+void WorkerPool::run_on_each_lane(FunctionRef<void(std::size_t)> body) {
+  // Every helper runs one pass of worker_loop per job, and the next job
+  // waits for all of them, so each lane sees the body exactly once.
+  dispatch(workers_, body, /*each_lane=*/true);
+}
+
+void WorkerPool::dispatch(std::size_t count,
+                          FunctionRef<void(std::size_t)> body,
+                          bool each_lane) {
   {
     const std::lock_guard<std::mutex> lock(m_);
     ensure(body_ == std::nullopt, "WorkerPool::run is not reentrant");
     body_.emplace(body);
     count_ = count;
+    each_lane_ = each_lane;
     next_.store(0, std::memory_order_relaxed);
     failed_.store(false, std::memory_order_relaxed);
     first_error_ = nullptr;
@@ -137,7 +161,12 @@ void WorkerPool::run(std::size_t count,
     ++epoch_;
   }
   cv_work_.notify_all();
-  drain(body);  // the calling thread is a full worker
+  // The calling thread is a full worker (lane 0).
+  if (each_lane) {
+    run_guarded(body, 0);
+  } else {
+    drain(body);
+  }
   {
     std::unique_lock<std::mutex> lock(m_);
     cv_done_.wait(lock, [&] { return busy_ == 0; });

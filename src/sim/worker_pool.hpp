@@ -60,9 +60,19 @@ class WorkerPool {
   /// started index completed. Not reentrant (one job at a time).
   void run(std::size_t count, FunctionRef<void(std::size_t)> body);
 
+  /// Run body(lane) exactly once on every lane, lane 0 being the caller
+  /// and lanes 1 .. worker_count()-1 the helper threads: for per-thread
+  /// state the lanes must hold before any of them claims work. Exceptions
+  /// propagate like run()'s. Not reentrant.
+  void run_on_each_lane(FunctionRef<void(std::size_t)> body);
+
  private:
-  void worker_loop();
+  void worker_loop(std::size_t lane);
   void drain(const FunctionRef<void(std::size_t)>& body);
+  void run_guarded(const FunctionRef<void(std::size_t)>& body,
+                   std::size_t index);
+  void dispatch(std::size_t count, FunctionRef<void(std::size_t)> body,
+                bool each_lane);
 
   std::size_t workers_;
   std::vector<std::thread> threads_;
@@ -75,6 +85,7 @@ class WorkerPool {
   bool stop_ = false;
   std::optional<FunctionRef<void(std::size_t)>> body_;
   std::size_t count_ = 0;
+  bool each_lane_ = false;  // the job runs body(lane) once per lane
 
   std::atomic<std::size_t> next_{0};
   std::atomic<bool> failed_{false};

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <thread>
 #include <vector>
 
+#include "common/arena.hpp"
 #include "common/contracts.hpp"
 #include "common/math_utils.hpp"
 #include "common/rng.hpp"
@@ -98,6 +100,14 @@ Round make_round(std::size_t relays, std::size_t n, std::uint64_t seed,
   return r;
 }
 
+void load_round(GccPhatPlan& plan, const Round& r) {
+  std::copy(r.error.begin(), r.error.end(), plan.error_record().begin());
+  for (std::size_t k = 0; k < r.relays.size(); ++k) {
+    std::copy(r.relays[k].begin(), r.relays[k].end(),
+              plan.relay_record(k).begin());
+  }
+}
+
 void expect_plan_matches_reference(std::size_t relays, double period_s,
                                    std::uint64_t seed,
                                    std::size_t silent_relay) {
@@ -106,11 +116,7 @@ void expect_plan_matches_reference(std::size_t relays, double period_s,
   const auto n = static_cast<std::size_t>(period_s * kFs);
   const Round r = make_round(relays, n, seed, silent_relay);
   GccPhatPlan plan(relays, n, kFs, 0.05);
-  std::copy(r.error.begin(), r.error.end(), plan.error_record().begin());
-  for (std::size_t k = 0; k < relays; ++k) {
-    std::copy(r.relays[k].begin(), r.relays[k].end(),
-              plan.relay_record(k).begin());
-  }
+  load_round(plan, r);
   plan.run();
   for (std::size_t k = 0; k < relays; ++k) {
     SCOPED_TRACE(::testing::Message() << "relay " << k);
@@ -153,10 +159,7 @@ TEST(GccPhatPlan, SilentErrorMicCorrelatesToNothing) {
   Round r = make_round(3, n, 7, 3);
   std::fill(r.error.begin(), r.error.end(), 0.0f);
   GccPhatPlan plan(3, n, kFs, 0.01);
-  for (std::size_t k = 0; k < 3; ++k) {
-    std::copy(r.relays[k].begin(), r.relays[k].end(),
-              plan.relay_record(k).begin());
-  }
+  load_round(plan, r);
   plan.run();
   for (const GccPhatPeak& p : plan.peaks()) {
     EXPECT_EQ(p.value, 0.0);
@@ -164,25 +167,118 @@ TEST(GccPhatPlan, SilentErrorMicCorrelatesToNothing) {
   }
 }
 
+// Everything a round leaves in its plan: the peaks and every window.
+struct RoundOutput {
+  std::vector<double> lags;
+  std::vector<double> values;
+  std::vector<double> windows;
+};
+
+RoundOutput run_round(GccPhatPlan& plan) {
+  plan.run();
+  RoundOutput out;
+  for (std::size_t k = 0; k < plan.relay_count(); ++k) {
+    out.lags.push_back(plan.peaks()[k].lag_s);
+    out.values.push_back(plan.peaks()[k].value);
+    const auto w = plan.correlation(k);
+    out.windows.insert(out.windows.end(), w.begin(), w.end());
+  }
+  return out;
+}
+
+void expect_bit_equal(const RoundOutput& got, const RoundOutput& want) {
+  EXPECT_EQ(got.lags, want.lags);
+  EXPECT_EQ(got.values, want.values);
+  EXPECT_EQ(got.windows, want.windows);
+}
+
+// A plan of `relays` relays over `period_s` records of `round`, built and
+// run once on a thread of its own: nothing else ever touched its scratch.
+RoundOutput solo_round(std::size_t relays, double period_s,
+                       const Round& round) {
+  RoundOutput out;
+  std::thread([&] {
+    GccPhatPlan plan(relays, static_cast<std::size_t>(period_s * kFs), kFs);
+    load_round(plan, round);
+    out = run_round(plan);
+  }).join();
+  return out;
+}
+
 TEST(GccPhatPlan, RoundsAreRepeatableOnOnePlan) {
-  // The transform buffer is reused across rounds: a second round on the
+  // The transform buffers are the thread's round scratch, reused across
+  // rounds and shared by every plan on the thread: a second round on the
   // same records must reproduce the first bit for bit.
   const std::size_t n = 4000;
   const Round r = make_round(4, n, 11, 4);
   GccPhatPlan plan(4, n, kFs);
-  std::copy(r.error.begin(), r.error.end(), plan.error_record().begin());
-  for (std::size_t k = 0; k < 4; ++k) {
-    std::copy(r.relays[k].begin(), r.relays[k].end(),
-              plan.relay_record(k).begin());
+  load_round(plan, r);
+  const RoundOutput first = run_round(plan);
+  expect_bit_equal(run_round(plan), first);
+
+  // Plans of different shapes interleaved on one thread (the larger nfft
+  // and a relay count that stores the error spectrum, against one that
+  // does not) each reproduce their solo run.
+  const Round one_r = make_round(1, 16000, 12, 1);
+  const Round four_r = make_round(4, 8000, 13, 1);
+  const RoundOutput one_solo = solo_round(1, 1.0, one_r);
+  const RoundOutput four_solo = solo_round(4, 0.5, four_r);
+  GccPhatPlan one(1, 16000, kFs);
+  GccPhatPlan four(4, 8000, kFs);
+  load_round(one, one_r);
+  load_round(four, four_r);
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(::testing::Message() << "pass " << pass);
+    expect_bit_equal(run_round(four), four_solo);
+    expect_bit_equal(run_round(one), one_solo);
+    expect_bit_equal(run_round(plan), first);
   }
-  plan.run();
-  const std::vector<GccPhatPeak> first(plan.peaks().begin(),
-                                       plan.peaks().end());
-  plan.run();
-  for (std::size_t k = 0; k < 4; ++k) {
-    EXPECT_EQ(plan.peaks()[k].lag_s, first[k].lag_s);
-    EXPECT_EQ(plan.peaks()[k].value, first[k].value);
-  }
+}
+
+TEST(GccPhatPlan, ThreadThatReservedRunsPlansBuiltElsewhere) {
+  // The fleet's case: a plan built on one thread runs its rounds on
+  // another, which grew its own scratch first.
+  const Round r = make_round(3, 8000, 14, 3);
+  GccPhatPlan plan(3, 8000, kFs);
+  load_round(plan, r);
+  const RoundOutput here = run_round(plan);
+  RoundOutput there;
+  std::thread([&] {
+    GccPhatPlan::reserve_thread_scratch(8000);
+    there = run_round(plan);
+  }).join();
+  expect_bit_equal(there, here);
+}
+
+TEST(GccPhatPlanDeathTest, RoundOnAThreadWithoutScratchAbortsLoudly) {
+  // run() never grows the scratch: on a thread that neither built the
+  // plan nor reserved, it aborts before it allocates anything (the guard
+  // would abort with its own message if it did).
+  GccPhatPlan plan(2, 4000, kFs);
+  EXPECT_DEATH(
+      {
+        std::thread([&] {
+          RtAllocationGuard guard(RtAllocationGuard::Mode::kAbort,
+                                  "gcc-phat-round");
+          plan.run();
+        }).join();
+      },
+      "round scratch was never grown");
+}
+
+TEST(GccPhatPlanDeathTest, ScratchNeverGrowsInsideATenantArena) {
+  // Growth goes to the global heap: a plan built with an arena installed
+  // on a thread whose scratch is too small aborts instead of leaving the
+  // scratch in the arena.
+  ArenaPool pool(std::size_t{1} << 20, 1);
+  EXPECT_DEATH(
+      {
+        std::thread([&] {
+          ScopedArenaAlloc scope(pool.arena(0));
+          GccPhatPlan plan(1, 4000, kFs);
+        }).join();
+      },
+      "must not grow inside a tenant arena");
 }
 
 // After construction, whole selection periods — capture pushes and the

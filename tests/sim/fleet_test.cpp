@@ -319,6 +319,40 @@ TEST(Fleet, PaperDefaultTenantsServeAtDefaultArenaWithoutGrowth) {
   }
 }
 
+TEST(Fleet, PaperDefaultTenantArenaStaysBelowOneMebibyte) {
+  // The GCC-PHAT transform buffers (768 KB at 1 s rounds) are one round
+  // scratch per lane, not part of the tenant: served through several
+  // rounds, a paper-default tenant's arena peaks under 1 MiB. Four
+  // tenants on four lanes, one per work item, so rounds run on lanes
+  // other than the one that built the tenant.
+  DeviceSimConfig cfg;
+  cfg.duration_s = 6.0;
+  cfg.seed = 7;
+  cfg.use_rf_link = false;
+  audio::WhiteNoiseSource noise(0.1, 5055);
+  FleetConfig fc;
+  fc.workers = 4;
+  fc.max_tenants = 4;
+  fc.batch_tenants = 1;
+  FleetRuntime fleet(fc);
+  const FleetProfile profile =
+      make_fleet_profile(noise, cfg, /*loop_steady_state=*/true);
+  const double fs = profile.streams.sample_rate;
+  const std::size_t pid = fleet.add_profile(profile);
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t s = 1; s <= 4; ++s) ids.push_back(fleet.admit(pid, s));
+  const double seconds = cfg.device.calibration_s +
+                         4.0 * cfg.device.selection_period_s;
+  fleet.run_blocks(static_cast<std::size_t>(std::ceil(
+      seconds * fs / static_cast<double>(fleet.block_samples()))));
+  for (const std::uint64_t id : ids) {
+    const TenantStats s = fleet.stats(id);
+    EXPECT_GE(static_cast<double>(s.samples), seconds * fs);
+    EXPECT_LT(s.arena_high_water, std::size_t{1} << 20);
+  }
+  EXPECT_EQ(fleet.steady_allocations(), 0u);
+}
+
 TEST(Fleet, FourRelayTenantArenaSettlesAtDefaultArena) {
   DeviceSimConfig cfg = quick_cfg(3.0);  // 0.5 s rounds
   for (std::size_t k = 0; k < 4; ++k) {

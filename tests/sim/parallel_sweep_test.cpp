@@ -1,7 +1,7 @@
 // sim::parallel_sweep (DESIGN.md §10): ordered results, thread-count
 // invariance under the determinism contract, exception propagation, and
 // edge counts; and the WorkerPool dispatch it runs on (every index exactly
-// once, lane placement). The same tests run under the tsan preset to prove
+// once, once per lane, lane placement). The same tests run under the tsan preset to prove
 // the runner itself is race-free.
 #include <gtest/gtest.h>
 
@@ -125,6 +125,33 @@ TEST(WorkerPool, CoversEveryIndexExactlyOnce) {
     });
     for (std::size_t i = 0; i < hits.size(); ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "workers=" << workers << " i=" << i;
+    }
+  }
+}
+
+TEST(WorkerPool, RunOnEachLaneRunsOnceOnEveryLaneThread) {
+  // No latch in the body: the call itself must hand every lane exactly
+  // one run, even when one lane could have finished them all, and it must
+  // keep doing so between ordinary jobs.
+  for (const std::size_t workers : {1UL, 3UL, 4UL}) {
+    sim::WorkerPool pool(workers);
+    for (int pass = 0; pass < 3; ++pass) {
+      std::vector<std::atomic<int>> hits(workers);
+      std::vector<std::thread::id> thread_of(workers);
+      pool.run_on_each_lane([&](std::size_t lane) {
+        ASSERT_LT(lane, workers);
+        hits[lane].fetch_add(1, std::memory_order_relaxed);
+        thread_of[lane] = std::this_thread::get_id();
+      });
+      for (std::size_t lane = 0; lane < workers; ++lane) {
+        EXPECT_EQ(hits[lane].load(), 1)
+            << "workers=" << workers << " lane=" << lane;
+      }
+      EXPECT_EQ(thread_of[0], std::this_thread::get_id());
+      const std::set<std::thread::id> distinct(thread_of.begin(),
+                                               thread_of.end());
+      EXPECT_EQ(distinct.size(), workers) << "workers=" << workers;
+      pool.run(16, [](std::size_t) {});
     }
   }
 }
