@@ -25,8 +25,8 @@
 
 #include "acoustics/environment.hpp"
 #include "audio/generators.hpp"
-#include "common/math_utils.hpp"
 #include "eval/report.hpp"
+#include "sim/never_louder.hpp"
 #include "sim/parallel_sweep.hpp"
 #include "sim/scenarios.hpp"
 #include "sim/system.hpp"
@@ -34,6 +34,7 @@
 namespace {
 
 using namespace mute;
+using sim::window_db;
 
 constexpr double kDuration = 12.0;
 constexpr double kFaultStart = 6.0;
@@ -48,21 +49,6 @@ const char* policy_name(Policy p) {
     case Policy::kShadow: return "shadow";
   }
   return "?";
-}
-
-/// Broadband cancellation over [t0, t1): residual power re disturbance, dB
-/// (negative = quieter than passive).
-double window_db(const sim::SystemResult& r, double t0, double t1) {
-  const auto i0 = static_cast<std::size_t>(t0 * r.sample_rate);
-  const auto i1 = static_cast<std::size_t>(t1 * r.sample_rate);
-  double num = 0.0, den = 0.0;
-  for (std::size_t i = i0; i < i1 && i < r.residual.size(); ++i) {
-    num += static_cast<double>(r.residual[i]) *
-           static_cast<double>(r.residual[i]);
-    den += static_cast<double>(r.disturbance[i]) *
-           static_cast<double>(r.disturbance[i]);
-  }
-  return power_to_db(num / std::max(den, 1e-20));
 }
 
 /// Seconds after fault onset until a sliding 0.25 s window first comes

@@ -20,10 +20,11 @@
 //                   [--json PATH]
 //
 // Exit codes: 0 every invariant held, 1 a violation, 2 usage error (an
-// unparsable, non-finite or non-positive value, or a configuration the
-// fleet runtime rejects).
+// unparsable, non-finite or non-positive value, an --arena-mb whose bytes
+// overflow size_t, or a configuration the fleet runtime rejects).
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -135,6 +136,11 @@ int main(int argc, char** argv) try {
       seed = parse_or_exit<std::uint64_t>(arg, next());
     } else if (arg == "--arena-mb") {
       arena_mb = parse_positive_or_exit<std::size_t>(arg, next());
+      if (arena_mb > (SIZE_MAX >> 20)) {  // arena_mb << 20 would wrap
+        std::fprintf(stderr, "%s must be at most %zu\n", arg.c_str(),
+                     SIZE_MAX >> 20);
+        return 2;
+      }
     } else if (arg == "--json") {
       json_path = next();
     } else {

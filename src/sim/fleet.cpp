@@ -136,10 +136,9 @@ std::uint64_t FleetRuntime::admit(std::size_t profile_id, std::uint64_t seed,
     t.state = TenantState::kRunning;
     t.gain = 1.0;
   }
-  t.win_len = std::max<std::size_t>(
-      1, static_cast<std::size_t>(kNeverLouderWindowS * fs));
-  t.win_skip_until =
-      static_cast<std::size_t>(config_.invariant_grace_s * fs);
+  t.meter = NeverLouderMeter(
+      never_louder_window(fs),
+      static_cast<std::size_t>(config_.invariant_grace_s * fs));
   t.capture = capture_residual;
   if (capture_residual) t.captured.assign(p.length(), 0.0f);
 
@@ -277,7 +276,6 @@ void FleetRuntime::process_item(std::size_t item) {
 void FleetRuntime::process_tenant_block(Tenant& t) {
   const FleetProfile& p = profiles_[t.profile];
   const std::size_t len = p.length();
-  const double fs = p.streams.sample_rate;
 
   for (std::size_t s = 0; s < config_.block_samples; ++s) {
     if (t.cursor >= len) [[unlikely]] {
@@ -292,33 +290,10 @@ void FleetRuntime::process_tenant_block(Tenant& t) {
     }
 
     const Sample at_ear = t.ear->step(p.streams, t.cursor, t.gain);
-    const double d = static_cast<double>(p.streams.d[t.cursor]);
     if (t.capture) t.captured[t.cursor] = at_ear;
-
-    // Windowed never-louder invariant (PR 2 semantics): compare residual
-    // vs disturbance energy per window; skip windows where the ambient is
-    // essentially silent (power-up lead-in, calibration).
-    t.win_res += static_cast<double>(at_ear) * static_cast<double>(at_ear);
-    t.win_dist += d * d;
-    ++t.win_pos;
+    t.meter.push(static_cast<double>(at_ear),
+                 static_cast<double>(p.streams.d[t.cursor]));
     ++t.cursor;
-    ++t.samples;
-    if (t.win_pos >= t.win_len) {
-      const double mean_dist =
-          t.win_dist / static_cast<double>(t.win_len);
-      if (mean_dist > 1e-12 && t.samples >= t.win_skip_until) {
-        const double excess_db =
-            10.0 * std::log10((t.win_res + 1e-300) / t.win_dist);
-        ++t.windows;
-        if (excess_db > t.worst_excess_db) {
-          t.worst_excess_db = excess_db;
-          t.worst_excess_t_s = static_cast<double>(t.samples) / fs;
-        }
-      }
-      t.win_pos = 0;
-      t.win_res = 0.0;
-      t.win_dist = 0.0;
-    }
 
     if (t.state == TenantState::kRampIn) {
       t.gain += t.gain_step;
@@ -342,10 +317,13 @@ TenantStats FleetRuntime::snapshot(const Tenant& t, std::size_t slot) const {
   s.id = t.id;
   s.state = t.state;
   s.profile = t.profile;
-  s.samples = t.samples;
-  s.worst_excess_db = t.worst_excess_db;
-  s.worst_excess_t_s = t.worst_excess_t_s;
-  s.windows = t.windows;
+  s.samples = t.meter.samples();
+  s.windows = t.meter.windows();
+  if (s.windows > 0) {
+    s.worst_excess_db = t.meter.worst_db();
+    s.worst_excess_t_s = static_cast<double>(t.meter.worst_end()) /
+                         profiles_[t.profile].streams.sample_rate;
+  }
   if (t.ear != nullptr) {
     s.handoff_count = t.ear->device().handoff_count();
     s.hold_count = t.ear->device().hold_count();

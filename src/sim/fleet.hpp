@@ -10,6 +10,7 @@
 #include "common/arena.hpp"
 #include "common/rt_annotations.hpp"
 #include "common/types.hpp"
+#include "sim/never_louder.hpp"
 #include "sim/system.hpp"
 #include "sim/worker_pool.hpp"
 
@@ -89,9 +90,10 @@ struct TenantStats {
   std::size_t profile = 0;
   std::uint64_t samples = 0;  // audio samples processed
 
-  // Windowed never-louder invariant (worst window over the tenant's life;
-  // windows where the disturbance is essentially silent — power-up
-  // lead-in — are skipped, matching the soak harness semantics).
+  // Never-louder invariant (NeverLouderMeter: worst non-overlapping
+  // window over the tenant's life; disturbance-silent windows and the
+  // invariant_grace_s are skipped). `worst_excess_t_s` is the END of the
+  // worst window, in seconds since admission (-1: no window scored).
   double worst_excess_db = -std::numeric_limits<double>::infinity();
   double worst_excess_t_s = -1.0;
   std::size_t windows = 0;
@@ -204,19 +206,11 @@ class FleetRuntime {
     std::unique_ptr<EarLoop> ear;
 
     std::size_t cursor = 0;
-    std::uint64_t samples = 0;
 
     double gain = 1.0;       // admission/drain fade on the anti injection
     double gain_step = 0.0;  // per-sample ramp increment
 
-    std::size_t win_len = 0;
-    std::size_t win_skip_until = 0;  // invariant grace, in samples
-    std::size_t win_pos = 0;
-    double win_res = 0.0;
-    double win_dist = 0.0;
-    double worst_excess_db = -std::numeric_limits<double>::infinity();
-    double worst_excess_t_s = -1.0;
-    std::size_t windows = 0;
+    NeverLouderMeter meter;  // also counts the samples served
 
     bool capture = false;
     Signal captured;  // control-plane memory (preallocated at admit)

@@ -1,13 +1,12 @@
 #include "sim/soak.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "audio/generators.hpp"
 #include "common/error.hpp"
-#include "common/math_utils.hpp"
 #include "common/rng.hpp"
+#include "sim/never_louder.hpp"
 
 namespace mute::sim {
 
@@ -134,23 +133,15 @@ SoakReport run_chaos_soak(const SoakConfig& config) {
   // Invariant 1: never meaningfully louder than passive, in any window
   // after the quiet power-up lead-in. Uses window energy (not samples):
   // the bound is about audible loudness, not instantaneous overshoot.
-  const auto& res = r.system.residual;
-  const auto& dist = r.system.disturbance;
+  // Half-overlapping windows, so a burst that straddles one phase's
+  // window boundary is whole in the other's.
   const double fs = r.system.sample_rate;
-  const auto win = std::max<std::size_t>(
-      1, static_cast<std::size_t>(kNeverLouderWindowS * fs));
-  const auto first = static_cast<std::size_t>((kCalibrationS + 0.2) * fs);
-  for (std::size_t i0 = first; i0 + win <= res.size(); i0 += win / 2) {
-    double num = 0.0, den = 0.0;
-    for (std::size_t i = i0; i < i0 + win; ++i) {
-      num += static_cast<double>(res[i]) * static_cast<double>(res[i]);
-      den += static_cast<double>(dist[i]) * static_cast<double>(dist[i]);
-    }
-    const double excess_db = power_to_db(num / std::max(den, 1e-20));
-    if (excess_db > report.worst_window_excess_db) {
-      report.worst_window_excess_db = excess_db;
-      report.worst_window_t_s = static_cast<double>(i0) / fs;
-    }
+  const WorstWindow worst = worst_half_overlapping_window(
+      r.system.residual, r.system.disturbance, never_louder_window(fs),
+      static_cast<std::size_t>((kCalibrationS + 0.2) * fs));
+  if (worst.excess_db > report.worst_window_excess_db) {
+    report.worst_window_excess_db = worst.excess_db;
+    report.worst_window_t_s = static_cast<double>(worst.start) / fs;
   }
   report.never_louder = report.worst_window_excess_db <= kNeverLouderMarginDb;
 

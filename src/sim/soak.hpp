@@ -42,7 +42,10 @@ struct SoakReport {
   double duration_s = 0.0;
   std::vector<SoakEpisode> episodes;
 
-  // Invariant 1: never meaningfully louder than passive.
+  // Invariant 1: never meaningfully louder than passive, scored by
+  // worst_half_overlapping_window (sim/never_louder.hpp).
+  // `worst_window_t_s` is the START of the worst window, in seconds into
+  // the record.
   bool never_louder = true;
   double worst_window_excess_db = -1e9;  // max over windows of (res - dist)
   double worst_window_t_s = 0.0;

@@ -185,12 +185,6 @@ struct SystemResult {
   std::vector<double> relay_active_s;   // kRunning seconds per relay
 };
 
-/// The never-louder-than-passive contract, shared by the chaos soak and
-/// the fleet: the residual's energy over a kNeverLouderWindowS window must
-/// stay within kNeverLouderMarginDb of the disturbance's over that window.
-inline constexpr double kNeverLouderWindowS = 0.25;
-inline constexpr double kNeverLouderMarginDb = 3.0;
-
 /// Run a complete ANC simulation: synthesize room channels, calibrate the
 /// secondary path, stream the noise through relay/link/LANC/speaker, and
 /// record disturbance + residual at the error microphone.

@@ -12,7 +12,7 @@
 
 #include "acoustics/environment.hpp"
 #include "audio/generators.hpp"
-#include "common/math_utils.hpp"
+#include "sim/never_louder.hpp"
 #include "sim/scenarios.hpp"
 #include "sim/system.hpp"
 
@@ -22,20 +22,6 @@ namespace {
 constexpr double kDuration = 10.0;
 constexpr double kFaultStart = 6.0;
 constexpr double kFaultLen = 3.0;
-
-/// Residual power re disturbance power over [t0, t1), in dB.
-double window_db(const SystemResult& r, double t0, double t1) {
-  const auto i0 = static_cast<std::size_t>(t0 * r.sample_rate);
-  const auto i1 = static_cast<std::size_t>(t1 * r.sample_rate);
-  double num = 0.0, den = 0.0;
-  for (std::size_t i = i0; i < i1 && i < r.residual.size(); ++i) {
-    num += static_cast<double>(r.residual[i]) *
-           static_cast<double>(r.residual[i]);
-    den += static_cast<double>(r.disturbance[i]) *
-           static_cast<double>(r.disturbance[i]);
-  }
-  return power_to_db(num / std::max(den, 1e-20));
-}
 
 /// One shared full-system run (the sim is seconds of wall clock; every
 /// test in this file asserts against the same record).

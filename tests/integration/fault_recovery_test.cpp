@@ -8,8 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "audio/generators.hpp"
-#include "common/math_utils.hpp"
 #include "core/link_monitor.hpp"
+#include "sim/never_louder.hpp"
 #include "sim/scenarios.hpp"
 #include "sim/system.hpp"
 
@@ -19,20 +19,6 @@ namespace {
 constexpr double kFaultStart = 4.5;
 constexpr double kFaultLen = 0.5;
 constexpr double kDuration = 9.0;
-
-/// Residual power re disturbance power over [t0, t1), in dB.
-double window_db(const SystemResult& r, double t0, double t1) {
-  const auto i0 = static_cast<std::size_t>(t0 * r.sample_rate);
-  const auto i1 = static_cast<std::size_t>(t1 * r.sample_rate);
-  double num = 0.0, den = 0.0;
-  for (std::size_t i = i0; i < i1 && i < r.residual.size(); ++i) {
-    num += static_cast<double>(r.residual[i]) *
-           static_cast<double>(r.residual[i]);
-    den += static_cast<double>(r.disturbance[i]) *
-           static_cast<double>(r.disturbance[i]);
-  }
-  return power_to_db(num / std::max(den, 1e-20));
-}
 
 SystemResult run_with_fault(FaultScenario scenario, std::uint64_t seed) {
   const auto scene = acoustics::Scene::paper_office();

@@ -11,8 +11,8 @@
 
 #include "acoustics/environment.hpp"
 #include "audio/generators.hpp"
-#include "common/math_utils.hpp"
 #include "sim/mesh.hpp"
+#include "sim/never_louder.hpp"
 #include "sim/scenarios.hpp"
 #include "sim/system.hpp"
 
@@ -31,19 +31,6 @@ DeviceSimConfig two_relay_config() {
   cfg.device.lanc.fxlms.mu = 0.3;
   cfg.device.lanc.fxlms.leakage = 2e-4;
   return cfg;
-}
-
-double window_db(const SystemResult& r, double t0, double t1) {
-  const auto i0 = static_cast<std::size_t>(t0 * r.sample_rate);
-  const auto i1 = static_cast<std::size_t>(t1 * r.sample_rate);
-  double num = 0.0, den = 0.0;
-  for (std::size_t i = i0; i < i1 && i < r.residual.size(); ++i) {
-    num += static_cast<double>(r.residual[i]) *
-           static_cast<double>(r.residual[i]);
-    den += static_cast<double>(r.disturbance[i]) *
-           static_cast<double>(r.disturbance[i]);
-  }
-  return power_to_db(num / std::max(den, 1e-20));
 }
 
 TEST(MeshSim, SupervisionOffIsBitIdenticalToTheDeviceSim) {

@@ -17,7 +17,8 @@
 #   6. soak-smoke : bench/chaos_soak on a short multi-seed schedule — the
 #                 mesh-resilience invariants (never louder than passive,
 #                 bounded re-acquisition, allocation-free steady state)
-#                 under randomized fault chaos; writes soak-report.json
+#                 under randomized fault chaos; writes soak-report.json,
+#                 then re-runs on one worker and cmps the two reports
 #                 (DESIGN.md §12)
 #   7. fleet-smoke : bench/fleet_soak on a small churned tenant fleet —
 #                 per-tenant never-louder verdicts plus the zero
@@ -96,12 +97,18 @@ run_perf() {
 # Short but real chaos: 3 seeds of randomized fault episodes on a 4-relay
 # mesh (~30 s on one core, seeds run in parallel where cores allow). Exits
 # non-zero on any invariant violation; the JSON verdict is the CI artifact.
+# A second run on one worker must write the same bytes: the seeds' sweep
+# and each mesh's parallel relay synthesis must not depend on the worker
+# count (DESIGN.md §10.4).
 run_soak_smoke() {
   echo "=== job: soak smoke (chaos invariants) ==="
   cmake --preset dev
   cmake --build --preset dev -j "$JOBS" --target chaos_soak
   ./build-dev/bench/chaos_soak \
     --relays 4 --duration 8 --seeds 3 --json soak-report.json
+  MUTE_SWEEP_THREADS=1 ./build-dev/bench/chaos_soak \
+    --relays 4 --duration 8 --seeds 3 --json soak-report-1worker.json
+  cmp soak-report.json soak-report-1worker.json
 }
 
 # Small but real fleet churn: mixed profiles (one with a scripted relay

@@ -127,6 +127,7 @@ REQUIRED_ROOTS = [
     "mute::rf::SpectrumPlanner::note_clean",
     "mute::rf::SpectrumPlanner::plan",
     "mute::sim::FleetRuntime::process_tenant_block",
+    "mute::sim::NeverLouderMeter::push",
     "mute::MonotonicArena::allocate",
 ]
 

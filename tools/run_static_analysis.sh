@@ -52,10 +52,10 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 
-if [[ ! -f "$BUILD_DIR/compile_commands.json" ]]; then
-  echo "== configuring tidy preset (compilation database) =="
-  cmake --preset tidy -S "$ROOT" -B "$BUILD_DIR"
-fi
+# Configure on every run: an existing database still lists a source file
+# that has since been deleted, and the syntax check then fails on it.
+echo "== configuring tidy preset (compilation database) =="
+cmake --preset tidy -S "$ROOT" -B "$BUILD_DIR"
 
 if [[ "$RUN_TIDY" == 1 ]]; then
   if command -v clang-tidy > /dev/null 2>&1; then
