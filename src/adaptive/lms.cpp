@@ -38,14 +38,6 @@ Sample AdaptiveFir::step(Sample x, Sample desired) {
   return update(desired);
 }
 
-Signal AdaptiveFir::identify(std::span<const Sample> x,
-                             std::span<const Sample> d) {
-  ensure(x.size() == d.size(), "signal lengths must match");
-  Signal err(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) err[i] = step(x[i], d[i]);
-  return err;
-}
-
 void AdaptiveFir::set_weights(std::span<const double> w) {
   ensure(w.size() == w_.size(), "weight size mismatch");
   std::copy(w.begin(), w.end(), w_.begin());

@@ -32,11 +32,6 @@ class AdaptiveFir {
   /// Convenience: predict + update in one call.
   MUTE_RT_SAFE Sample step(Sample x, Sample desired);
 
-  /// Identify a whole record: runs step() over the pair of signals and
-  /// returns the error sequence.
-  MUTE_RT_UNSAFE Signal identify(std::span<const Sample> x,
-                                 std::span<const Sample> d);
-
   const std::vector<double>& weights() const { return w_; }
   MUTE_RT_UNSAFE void set_weights(std::span<const double> w);
   void reset();

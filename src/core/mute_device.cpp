@@ -16,11 +16,9 @@ MuteDevice::MuteDevice(MuteDeviceConfig config)
   ensure(config.relay_count >= 1, "need at least one relay");
   ensure(config.calibration_s > 0, "calibration duration must be positive");
   ensure(config.hold_timeout_s > 0, "hold timeout must be positive");
-  const auto cal_samples =
-      static_cast<std::size_t>(config.calibration_s * config.sample_rate);
-  stimulus_log_.reserve(cal_samples);
-  response_log_.reserve(cal_samples);
-  cal_scratch_.assign(1, 0.0f);
+  identifier_ = std::make_unique<adaptive::PathIdentifier>(
+      config.secondary_taps,
+      static_cast<std::size_t>(config.calibration_s * config.sample_rate));
   if (config.link_supervision) {
     monitors_.reserve(config.relay_count);
     for (std::size_t k = 0; k < config.relay_count; ++k) {
@@ -84,19 +82,15 @@ Sample MuteDevice::tick_impl(std::span<const Sample> relay_samples,
   switch (state_) {
     case State::kCalibrating: {
       // The error mic currently hears the previous training sample through
-      // the secondary path: log the (stimulus, response) pair.
-      if (!stimulus_log_.empty() || last_training_sample_ != 0.0f) {
-        stimulus_log_.push_back(last_training_sample_);
-        response_log_.push_back(error_sample);
+      // the secondary path: fit the (stimulus, response) pair.
+      if (identifier_->pushed() > 0 || last_training_sample_ != 0.0f) {
+        identifier_->push(last_training_sample_, error_sample);
       }
-      const auto cal_samples = static_cast<std::size_t>(
-          config_.calibration_s * config_.sample_rate);
-      if (stimulus_log_.size() >= cal_samples) {
+      if (identifier_->done()) {
         finish_calibration();
         return 0.0f;
       }
-      training_.render(cal_scratch_);
-      last_training_sample_ = cal_scratch_[0];
+      training_.render(std::span<Sample>(&last_training_sample_, 1));
       return last_training_sample_;
     }
 
@@ -242,10 +236,8 @@ Sample MuteDevice::tick_impl(std::span<const Sample> relay_samples,
 }
 
 void MuteDevice::finish_calibration() {
-  calibration_ = adaptive::identify_system(stimulus_log_, response_log_,
-                                           config_.secondary_taps);
-  stimulus_log_.clear();
-  response_log_.clear();
+  calibration_ = identifier_->result();
+  identifier_.reset();
   last_training_sample_ = 0.0f;
   state_ = State::kListening;
 }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -180,8 +181,9 @@ class MuteDevice {
   Sample tick_impl(std::span<const Sample> relay_samples,
                    Sample error_sample);
   MUTE_RT_ESCAPE(
-      "end of calibration: sysid batch solve + LANC construction, runs "
-      "exactly once per power-up, not per sample; DESIGN.md \u00a711")
+      "end of calibration: copies the identified taps out and releases "
+      "the identifier, exactly once per power-up, not per sample; "
+      "DESIGN.md \u00a711")
   void finish_calibration();
   MUTE_RT_ESCAPE(
       "selection-round landing: runs once per selection_period_s (1 s "
@@ -222,13 +224,12 @@ class MuteDevice {
   MuteDeviceConfig config_;
   State state_ = State::kCalibrating;
 
-  // Calibration machinery. `cal_scratch_` is the one-sample render target
-  // for the training source, preallocated so the calibration tick never
-  // heap-allocates (it runs on the audio thread like every other state).
+  // Calibration machinery. The identifier fits each (training sample,
+  // error-mic sample) pair as it arrives; it is built in the constructor and
+  // released when calibration ends, so the device does not grow after
+  // power-up and keeps no calibration record.
   audio::WhiteNoiseSource training_;
-  Signal stimulus_log_;
-  Signal response_log_;
-  Signal cal_scratch_;
+  std::unique_ptr<adaptive::PathIdentifier> identifier_;
   Sample last_training_sample_ = 0.0f;
   adaptive::SysIdResult calibration_{};
 

@@ -259,15 +259,10 @@ SystemResult run_anc_simulation(audio::SoundSource& noise,
   // error — without this, the gradient phase error exceeds 90 degrees
   // well inside the audio band and the loop diverges at any step size.
   mute::dsp::DelayLine cal_feedback_delay(config.error_feedback_delay_samples);
-  auto plant = [&](std::span<const Sample> stimulus) {
-    Signal out(stimulus.size());
-    for (std::size_t i = 0; i < stimulus.size(); ++i) {
-      const Sample spk = cal_speaker.process(stimulus[i]);
-      const Sample at_mic = cal_hse.process(spk);
-      out[i] = cal_feedback_delay.process(
-          cal_err_lpf.process(cal_mic.process(at_mic)));
-    }
-    return out;
+  auto plant = [&](Sample stimulus) {
+    const Sample at_mic = cal_hse.process(cal_speaker.process(stimulus));
+    return cal_feedback_delay.process(
+        cal_err_lpf.process(cal_mic.process(at_mic)));
   };
   const std::size_t sec_taps =
       std::min<std::size_t>(config.secondary_taps, hse_eff.size() + 64);

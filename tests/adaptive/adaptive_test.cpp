@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <cmath>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -7,6 +9,7 @@
 #include "adaptive/lms.hpp"
 #include "adaptive/sysid.hpp"
 #include "audio/generators.hpp"
+#include "common/error.hpp"
 #include "common/math_utils.hpp"
 #include "common/rng.hpp"
 #include "dsp/fir_filter.hpp"
@@ -86,14 +89,86 @@ TEST(SysId, IdentifySystemReportsQuality) {
   EXPECT_NEAR(result.impulse_response[0], 0.4, 1e-3);
 }
 
+// identify_system as it was before PathIdentifier: a whole-record NLMS
+// pass (AdaptiveFir::identify's loop, inlined) and the rms of the error
+// and response over the last quarter. Kept as the bit-identity reference.
+SysIdResult whole_record_reference(std::span<const Sample> stimulus,
+                                   std::span<const Sample> response,
+                                   std::size_t taps) {
+  AdaptiveFir fir(taps);
+  Signal err(stimulus.size());
+  for (std::size_t i = 0; i < stimulus.size(); ++i) {
+    err[i] = fir.step(stimulus[i], response[i]);
+  }
+
+  // Report error power over the last quarter (converged region).
+  const std::size_t tail = err.size() / 4;
+  const std::span<const Sample> err_tail(err.data() + err.size() - tail, tail);
+  const std::span<const Sample> resp_tail(
+      response.data() + response.size() - tail, tail);
+  const double e_rms = mute::dsp::rms(err_tail);
+  const double d_rms = mute::dsp::rms(resp_tail);
+
+  SysIdResult out;
+  out.impulse_response = fir.weights();
+  out.final_error_db = amplitude_to_db(e_rms / std::max(d_rms, 1e-12));
+  return out;
+}
+
+void expect_matches_reference(const Signal& x, const Signal& y,
+                              std::size_t taps) {
+  const SysIdResult ref = whole_record_reference(x, y, taps);
+  PathIdentifier id(taps, x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) id.push(x[i], y[i]);
+  ASSERT_TRUE(id.done());
+  const SysIdResult streamed = id.result();
+  EXPECT_EQ(streamed.impulse_response, ref.impulse_response);
+  EXPECT_EQ(streamed.final_error_db, ref.final_error_db);
+  const SysIdResult whole = identify_system(x, y, taps);
+  EXPECT_EQ(whole.impulse_response, ref.impulse_response);
+  EXPECT_EQ(whole.final_error_db, ref.final_error_db);
+}
+
+TEST(SysId, PathIdentifierMatchesWholeRecordBitForBit) {
+  audio::WhiteNoiseSource noise(0.2, 5);
+  const Signal x = noise.generate(32000);
+  mute::dsp::FirFilter plant({0.4, 0.3, -0.2, 0.1});
+  Signal y(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) y[i] = plant.process(x[i]);
+  expect_matches_reference(x, y, 16);
+
+  // A record whose length is not a multiple of 4, with a noisy plant, so
+  // the tail starts mid-quarter and the error is far from zero.
+  Rng rng(29);
+  const Signal xr = noise.generate(10003);
+  mute::dsp::FirFilter colored({0.7, -0.5, 0.25, 0.1, -0.05});
+  Signal yr(xr.size());
+  for (std::size_t i = 0; i < xr.size(); ++i) {
+    yr[i] = static_cast<Sample>(static_cast<double>(colored.process(xr[i])) +
+                                rng.gaussian(0.02));
+  }
+  expect_matches_reference(xr, yr, 24);
+}
+
+TEST(SysId, PathIdentifierRejectsShortAndIncompleteRecords) {
+  EXPECT_THROW(PathIdentifier(16, 63), PreconditionError);
+  PathIdentifier id(16, 64);
+  for (int i = 0; i < 63; ++i) id.push(0.1f, 0.05f);
+  EXPECT_FALSE(id.done());
+  EXPECT_THROW((void)id.result(), PreconditionError);
+  id.push(0.1f, 0.05f);
+  EXPECT_TRUE(id.done());
+  EXPECT_EQ(id.result().impulse_response.size(), 16u);
+}
+
 TEST(SysId, CalibratePathDrivesPlantFunction) {
+  Sample previous = 0.0f;
   const auto result = calibrate_path(
-      [](std::span<const Sample> s) {
-        Signal out(s.size(), 0.0f);
-        for (std::size_t i = 1; i < s.size(); ++i) {
-          // delay-1 gain 0.8
-          out[i] = static_cast<Sample>(0.8 * static_cast<double>(s[i - 1]));
-        }
+      [&previous](Sample s) {
+        // delay-1 gain 0.8
+        const auto out =
+            static_cast<Sample>(0.8 * static_cast<double>(previous));
+        previous = s;
         return out;
       },
       16000.0, 1.0, 8, 7);

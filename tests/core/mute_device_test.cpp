@@ -243,6 +243,51 @@ TEST(MuteDevice, GarbageReferenceNeverReachesTheEngine) {
   EXPECT_EQ(device.state(), MuteDevice::State::kRunning);
 }
 
+TEST(MuteDevice, RejectsACalibrationTooShortForItsTapsAtConstruction) {
+  // 0.05 s at 16 kHz is 800 samples, under the 4 x 256 an NLMS fit of 256
+  // taps needs: the device must refuse at power-up, not on tick 800.
+  MuteDeviceConfig cfg;
+  cfg.calibration_s = 0.05;
+  cfg.secondary_taps = 256;
+  EXPECT_THROW(MuteDevice{cfg}, PreconditionError);
+  cfg.calibration_s = 0.0;
+  EXPECT_THROW(MuteDevice{cfg}, PreconditionError);
+  cfg.calibration_s = -1.0;
+  EXPECT_THROW(MuteDevice{cfg}, PreconditionError);
+  cfg.calibration_s = 0.07;  // 1120 samples, over 4 x 256
+  EXPECT_NO_THROW(MuteDevice{cfg});
+}
+
+TEST(MuteDevice, CalibrationEqualsIdentifySystemOnItsTickRecord) {
+  // Rebuild the calibration record from the device's own ticks, the way
+  // the e2e ledger does: each tick's error-mic reading against the
+  // training sample the device emitted on the tick before, from the first
+  // non-zero training sample on. The streamed fit must equal the
+  // whole-record one bit for bit.
+  World world(1);
+  const MuteDeviceConfig cfg = quick_config(1);
+  MuteDevice device(cfg);
+  Signal relay_feed(1);
+  Signal stimulus, response;
+  Sample last = 0.0f, error = 0.0f;
+  while (device.state() == MuteDevice::State::kCalibrating) {
+    const Sample speaker = device.tick(relay_feed, error);
+    if (!stimulus.empty() || last != 0.0f) {
+      stimulus.push_back(last);
+      response.push_back(error);
+    }
+    last = speaker;
+    error = world.step(speaker, relay_feed);
+  }
+  ASSERT_EQ(stimulus.size(),
+            static_cast<std::size_t>(cfg.calibration_s * kFs));
+  const adaptive::SysIdResult ref =
+      adaptive::identify_system(stimulus, response, cfg.secondary_taps);
+  EXPECT_EQ(device.calibration().impulse_response, ref.impulse_response);
+  EXPECT_EQ(device.calibration().final_error_db, ref.final_error_db);
+  EXPECT_LT(ref.final_error_db, -25.0);
+}
+
 TEST(MuteDevice, RejectsWrongRelayCount) {
   MuteDevice device(quick_config(2));
   Signal wrong(1, 0.0f);

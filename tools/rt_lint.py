@@ -105,6 +105,7 @@ REQUIRED_ROOTS = [
     "mute::adaptive::MultiFxlmsEngine::adapt",
     "mute::adaptive::AdaptiveFir::predict",
     "mute::adaptive::AdaptiveFir::update",
+    "mute::adaptive::PathIdentifier::push",
     "mute::adaptive::BlockFdaf::step_block",
     "mute::dsp::FirFilter::process",
     "mute::dsp::Biquad::process",
