@@ -136,7 +136,7 @@ std::uint64_t FleetRuntime::admit(std::size_t profile_id, std::uint64_t seed,
     t.state = TenantState::kRunning;
     t.gain = 1.0;
   }
-  t.meter = NeverLouderMeter(
+  t.meter = HalfOverlapMeter(
       never_louder_window(fs),
       static_cast<std::size_t>(config_.invariant_grace_s * fs));
   t.capture = capture_residual;

@@ -90,10 +90,11 @@ struct TenantStats {
   std::size_t profile = 0;
   std::uint64_t samples = 0;  // audio samples processed
 
-  // Never-louder invariant (NeverLouderMeter: worst non-overlapping
-  // window over the tenant's life; disturbance-silent windows and the
-  // invariant_grace_s are skipped). `worst_excess_t_s` is the END of the
-  // worst window, in seconds since admission (-1: no window scored).
+  // Never-louder invariant (HalfOverlapMeter: worst window over the
+  // tenant's life, windows overlapping by half; disturbance-silent windows
+  // and the invariant_grace_s are skipped). `worst_excess_t_s` is the END
+  // of the worst window, in seconds since admission (-1: no window
+  // scored). `windows` counts the scored windows of both phases.
   double worst_excess_db = -std::numeric_limits<double>::infinity();
   double worst_excess_t_s = -1.0;
   std::size_t windows = 0;
@@ -210,7 +211,7 @@ class FleetRuntime {
     double gain = 1.0;       // admission/drain fade on the anti injection
     double gain_step = 0.0;  // per-sample ramp increment
 
-    NeverLouderMeter meter;  // also counts the samples served
+    HalfOverlapMeter meter;  // also counts the samples served
 
     bool capture = false;
     Signal captured;  // control-plane memory (preallocated at admit)
