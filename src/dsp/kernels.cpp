@@ -21,6 +21,19 @@
 #define MUTE_KERNEL_RESTRICT
 #endif
 
+// GCC 12's vectorizer turns the alternating subtract/add of a complex
+// multiply-accumulate into vfmaddsub on FMA-capable clones (avx512f) even
+// under -ffp-contract=off. Wrapping one product in an association barrier
+// keeps it out of that pattern without changing its value.
+#if defined(__has_builtin)
+#if __has_builtin(__builtin_assoc_barrier)
+#define MUTE_KERNEL_UNFUSED(x) __builtin_assoc_barrier(x)
+#endif
+#endif
+#ifndef MUTE_KERNEL_UNFUSED
+#define MUTE_KERNEL_UNFUSED(x) (x)
+#endif
+
 // No clones under ThreadSanitizer: the glibc ifunc resolvers run before
 // the tsan runtime initializes and crash at load time. The single default
 // clone computes the same bits, so tsan coverage is unaffected.
@@ -231,8 +244,8 @@ void cmul_accumulate(double* acc_in, const double* a_in, const double* b_in,
   for (std::size_t k = 0; k < n; ++k) {
     const double ar = a[2 * k], ai = a[2 * k + 1];
     const double br = b[2 * k], bi = b[2 * k + 1];
-    acc[2 * k] += ar * br - ai * bi;
-    acc[2 * k + 1] += ar * bi + ai * br;
+    acc[2 * k] += MUTE_KERNEL_UNFUSED(ar * br) - ai * bi;
+    acc[2 * k + 1] += MUTE_KERNEL_UNFUSED(ar * bi) + ai * br;
   }
 }
 

@@ -12,33 +12,26 @@
 // failover counters are pinned next to the hash.
 //
 // The device path runs the partitioned plant FIR, whose spectral products
-// go through kernels::cmul_accumulate. On an AVX-512 host GCC 12 fuses that
-// kernel's avx512f clone into multiply-adds despite -ffp-contract=off, so
-// its bits differ from the reference kernel's (and from sanitizer builds,
-// whose instrumentation keeps the clone unfused). Those two pins therefore
-// record one hash per rounding.
+// go through kernels::cmul_accumulate. Every clone of that kernel computes
+// the reference kernel's bits (ctest kernels_have_no_fused_clone), so each
+// pin carries one hash on every host and in every build.
 //
 // The device path's inputs: prepare_device_streams on a four-relay profile
 // shaped like bench/e2e's mesh4_churn (RF on, relay-0 dropout), pinned per
 // stream. The relays are synthesized in parallel, so this pins that relay
-// k's stream comes from seed + 100 + k and lands in slot k. These streams
-// do not pass through kernels::cmul_accumulate and carry one hash each.
+// k's stream comes from seed + 100 + k and lands in slot k.
 //
 // A refactor that keeps these values must keep the hashes; a deliberate
 // behaviour change re-records them and says so.
 
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <iterator>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "audio/generators.hpp"
-#include "common/rng.hpp"
 #include "common/types.hpp"
-#include "dsp/kernels.hpp"
 #include "sim/mesh.hpp"
 #include "sim/scenarios.hpp"
 #include "sim/system.hpp"
@@ -59,24 +52,6 @@ std::uint64_t bits_hash(const Signal& residual) {
     }
   }
   return h;
-}
-
-// Whether kernels::cmul_accumulate computes its reference's bits here.
-bool cmul_matches_reference() {
-  constexpr std::size_t kN = 64;
-  Rng rng(3);
-  std::vector<double> a(2 * kN), b(2 * kN);
-  for (auto& v : a) v = rng.gaussian();
-  for (auto& v : b) v = rng.gaussian();
-  std::vector<double> fast(2 * kN, 0.25), ref(2 * kN, 0.25);
-  dsp::kernels::cmul_accumulate(fast.data(), a.data(), b.data(), kN);
-  dsp::kernels::naive::cmul_accumulate(ref.data(), a.data(), b.data(), kN);
-  return std::memcmp(fast.data(), ref.data(), fast.size() * sizeof(double)) ==
-         0;
-}
-
-std::uint64_t device_hash(std::uint64_t reference, std::uint64_t fused) {
-  return cmul_matches_reference() ? reference : fused;
 }
 
 TEST(SystemGolden, SupervisedProfilingRunOverRfIsPinned) {
@@ -111,8 +86,7 @@ TEST(SystemGolden, OneRelayDeviceRunOverRfIsPinned) {
   cfg.device.calibration_s = 1.0;
   audio::WhiteNoiseSource noise(0.1, 505);
   const SystemResult r = run_device_simulation(noise, cfg);
-  EXPECT_EQ(bits_hash(r.residual),
-            device_hash(0x9cd64253bf193d06ull, 0x00aa3b7b2b081d79ull));
+  EXPECT_EQ(bits_hash(r.residual), 0x9cd64253bf193d06ull);
   EXPECT_EQ(r.handoff_count, 0u);
   EXPECT_EQ(r.device_hold_count, 0u);
   EXPECT_EQ(r.weight_rollbacks, 0u);
@@ -138,8 +112,7 @@ TEST(SystemGolden, MeshDropoutHandoffRunIsPinned) {
   ASSERT_GE(r.handoff_count, 1u);         // retarget ran
   ASSERT_GE(r.shadow_handoff_count, 1u);  // install_converged ran
   ASSERT_GE(r.device_hold_count, 1u);     // hold ran
-  EXPECT_EQ(bits_hash(r.residual),
-            device_hash(0xdac96b76c29e0952ull, 0xc9f25cde8b0970dbull));
+  EXPECT_EQ(bits_hash(r.residual), 0xdac96b76c29e0952ull);
   EXPECT_EQ(r.handoff_count, 1u);
   EXPECT_EQ(r.device_hold_count, 1u);
   EXPECT_EQ(r.weight_rollbacks, 0u);
