@@ -21,7 +21,7 @@ namespace mute::adaptive {
 /// deep notches of reverberant spectra. Exposed for experimentation only:
 /// its users are bench/ablation_extensions, the BM_FdafBlock micro
 /// benchmark and the tests. Secondary-path identification
-/// (adaptive::identify_system) runs the transversal AdaptiveFir, and the
+/// (adaptive::PathIdentifier) runs the transversal AdaptiveFir, and the
 /// runtime LANC loop keeps the transversal engine, whose per-sample
 /// latency model matches the hardware story.
 ///
