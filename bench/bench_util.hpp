@@ -79,18 +79,10 @@ inline void print_cancellation_curves(
     double f_max = 4000.0, std::size_t points = 16) {
   std::printf("\n== %s ==\n\n", title.c_str());
   std::vector<std::string> headers = {"freq_Hz"};
-  for (const auto& [name, spec] : curves) {
-    headers.push_back(name);
-    (void)spec;
-  }
+  for (const auto& curve : curves) headers.push_back(curve.first);
   eval::Table table(headers);
 
-  // Shared decimated frequency grid from the first curve.
-  const auto& ref = *curves.front().second;
-  std::vector<double> f_dense, dummy;
-  for (std::size_t i = 0; i < ref.freq_hz.size(); ++i) {
-    if (ref.freq_hz[i] <= f_max) f_dense.push_back(ref.freq_hz[i]);
-  }
+  // Shared frequency grid: `points` even steps up to f_max.
   std::vector<double> grid;
   for (std::size_t p = 0; p < points; ++p) {
     grid.push_back(f_max * static_cast<double>(p + 1) /
@@ -100,10 +92,8 @@ inline void print_cancellation_curves(
   for (const auto& [name, spec] : curves) {
     eval::Series s;
     s.name = name;
-    std::vector<std::string> row_stub;
     for (double f : grid) s.y.push_back(spec->at(f));
     series.push_back(std::move(s));
-    (void)row_stub;
   }
   for (std::size_t p = 0; p < grid.size(); ++p) {
     std::vector<std::string> row = {eval::fmt(grid[p], 0)};

@@ -11,8 +11,9 @@
 // and exits non-zero when any seed violates any invariant — every failure
 // reproduces exactly from its printed (seed, relays, duration) triple.
 //
-// Usage: chaos_soak [--relays N] [--duration S] [--seeds K]
-//                   [--json PATH] [--no-supervision]
+// Usage: chaos_soak [--relays N] [--duration S] [--seeds K] [--json PATH]
+//
+// Spectrum supervision (channel hops, TX-power steps) is always on.
 //
 // Exit codes: 0 every invariant held, 1 a violation, 2 usage error: an
 // unparsable, non-finite or non-positive value (zero seeds included — a
@@ -38,7 +39,6 @@ int main(int argc, char** argv) try {
   double duration_s = 12.0;
   std::size_t seeds = 4;
   std::string json_path;
-  bool supervision = true;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
@@ -56,17 +56,14 @@ int main(int argc, char** argv) try {
       seeds = parse_positive_or_exit<std::size_t>(arg, next());
     } else if (arg == "--json") {
       json_path = next();
-    } else if (arg == "--no-supervision") {
-      supervision = false;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return 2;
     }
   }
 
-  std::printf("chaos soak: %zu relays, %.1f s, %zu seeds, spectrum "
-              "supervision %s\n\n",
-              relays, duration_s, seeds, supervision ? "on" : "off");
+  std::printf("chaos soak: %zu relays, %.1f s, %zu seeds\n\n", relays,
+              duration_s, seeds);
 
   const auto reports =
       mute::sim::parallel_sweep(seeds, [&](std::size_t i) {
@@ -74,7 +71,6 @@ int main(int argc, char** argv) try {
         cfg.relay_count = relays;
         cfg.duration_s = duration_s;
         cfg.seed = 1000 + i;  // index-derived: bit-deterministic sweep
-        cfg.spectrum_supervision = supervision;
         return mute::sim::run_chaos_soak(cfg);
       });
 

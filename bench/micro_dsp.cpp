@@ -339,7 +339,7 @@ void BM_Resample16kTo256k(benchmark::State& state) {
   Rng rng(7);
   Signal in(1600);
   for (auto& v : in) v = static_cast<Sample>(rng.gaussian(0.2));
-  dsp::Resampler up(16, 1);
+  dsp::StreamingResampler up(16000.0, 256000.0);
   for (auto _ : state) {
     auto out = up.process(in);
     benchmark::DoNotOptimize(out.data());
@@ -353,9 +353,10 @@ BENCHMARK(BM_Resample16kTo256k);
 // worker lane (machine-independent — the gate must not reward core
 // count), advanced one scheduling quantum per iteration. Items/s is
 // device-samples per second: divide the sample rate into it for the
-// per-device real-time factor; bench/fleet has the full devices x RTF
-// capacity table. The profile is built once per process (a couple of
-// seconds of scene synthesis) and shared across repetitions.
+// per-device real-time factor; bench/e2e measures the fleet's capacity
+// (devices held at RTF >= 1) end to end. The profile is built once per
+// process (a couple of seconds of scene synthesis) and shared across
+// repetitions.
 void BM_FleetThroughput(benchmark::State& state) {
   const auto tenants = static_cast<std::size_t>(state.range(0));
   static const sim::FleetProfile& profile = *[] {

@@ -5,6 +5,7 @@
 #include <iostream>
 
 #include "acoustics/environment.hpp"
+#include "acoustics/propagation.hpp"
 #include "core/timing.hpp"
 #include "eval/report.hpp"
 #include "rf/relay.hpp"
@@ -18,7 +19,7 @@ int main() {
   {
     eval::Table table({"de_minus_dr_m", "lookahead_ms", "taps_at_16kHz"});
     for (double d : {0.25, 0.5, 1.0, 2.0, 3.4, 5.0}) {
-      const double la = core::geometric_lookahead_s(0.0, d);
+      const double la = acoustics::lookahead_s(0.0, d);
       const double row[] = {
           la * 1e3,
           static_cast<double>(core::lookahead_taps(la, kDefaultSampleRate))};

@@ -1,7 +1,6 @@
 #include "acoustics/channel.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 
@@ -9,8 +8,7 @@ namespace mute::acoustics {
 
 AcousticChannel::AcousticChannel(std::vector<double> impulse_response,
                                  std::string label)
-    : ir_(std::move(impulse_response)), label_(std::move(label)),
-      history_(ir_.size(), 0.0) {
+    : ir_(std::move(impulse_response)), label_(std::move(label)) {
   ensure(!ir_.empty(), "impulse response must be non-empty");
 }
 
@@ -18,45 +16,10 @@ Signal AcousticChannel::apply(std::span<const Sample> in) const {
   return mute::dsp::convolve_same(in, ir_);
 }
 
-Sample AcousticChannel::process(Sample x) {
-  const std::size_t n = ir_.size();
-  history_[pos_] = static_cast<double>(x);
-  double acc = 0.0;
-  std::size_t idx = pos_;
-  for (std::size_t k = 0; k < n; ++k) {
-    acc += ir_[k] * history_[idx];
-    idx = (idx == 0) ? n - 1 : idx - 1;
-  }
-  pos_ = (pos_ + 1 == n) ? 0 : pos_ + 1;
-  return static_cast<Sample>(acc);
-}
-
-void AcousticChannel::reset_streaming() {
-  std::fill(history_.begin(), history_.end(), 0.0);
-  pos_ = 0;
-}
-
-std::size_t AcousticChannel::direct_path_index() const {
-  std::size_t best = 0;
-  double best_v = 0.0;
-  for (std::size_t i = 0; i < ir_.size(); ++i) {
-    const double v = std::abs(ir_[i]);
-    if (v > best_v) {
-      best_v = v;
-      best = i;
-    }
-  }
-  return best;
-}
-
 double AcousticChannel::energy() const {
   double e = 0.0;
   for (double v : ir_) e += v * v;
   return e;
-}
-
-void scale_ir(std::vector<double>& ir, double gain) {
-  for (double& v : ir) v *= gain;
 }
 
 std::vector<double> shift_ir(const std::vector<double>& ir,

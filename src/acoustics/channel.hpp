@@ -10,10 +10,11 @@
 
 namespace mute::acoustics {
 
-/// An acoustic channel: a fixed FIR impulse response applied either to a
-/// whole signal (offline, FFT-accelerated) or streamed sample-by-sample.
-/// Instances represent the paper's h_nr (noise -> reference mic),
-/// h_ne (noise -> error mic) and h_se (anti-noise speaker -> error mic).
+/// An acoustic channel: an immutable FIR impulse response applied to a whole
+/// signal (offline, FFT-accelerated). Instances represent the paper's h_nr
+/// (noise -> reference mic), h_ne (noise -> error mic) and h_se (anti-noise
+/// speaker -> error mic). Streaming plants wrap the impulse response in a
+/// dsp::FirFilter.
 class AcousticChannel {
  public:
   AcousticChannel(std::vector<double> impulse_response, std::string label);
@@ -22,15 +23,8 @@ class AcousticChannel {
   /// (causal "same" semantics so pipelines stay aligned).
   Signal apply(std::span<const Sample> in) const;
 
-  /// Streaming one-sample path.
-  Sample process(Sample x);
-  void reset_streaming();
-
   const std::vector<double>& impulse_response() const { return ir_; }
   const std::string& label() const { return label_; }
-
-  /// Index of the strongest tap (≈ direct-path delay in samples).
-  std::size_t direct_path_index() const;
 
   /// Total energy of the impulse response.
   double energy() const;
@@ -38,13 +32,7 @@ class AcousticChannel {
  private:
   std::vector<double> ir_;
   std::string label_;
-  // Streaming state (direct-form FIR).
-  std::vector<double> history_;
-  std::size_t pos_ = 0;
 };
-
-/// Scale an impulse response in place (e.g. source gain adjustments).
-void scale_ir(std::vector<double>& ir, double gain);
 
 /// Delay an impulse response by an integer number of samples, keeping
 /// length (tail truncated). Used to model converter latencies lumped into

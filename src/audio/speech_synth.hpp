@@ -38,9 +38,6 @@ class SpeechSource final : public SoundSource {
   void reset() override;
   std::string name() const override;
 
-  /// True while inside a sentence (not a pause).
-  bool speaking() const { return in_sentence_; }
-
  private:
   void rebuild();
   void next_syllable();

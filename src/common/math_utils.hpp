@@ -52,17 +52,4 @@ inline double wrap_phase(double phi) {
   return phi - kPi;
 }
 
-/// Seconds -> whole samples (round to nearest). Signed: callers subtract
-/// sample counts to form lookahead/lag offsets, so the natural domain is
-/// std::ptrdiff_t rather than long (identical on LP64, wider on LLP64).
-inline std::ptrdiff_t seconds_to_samples(double seconds, double sample_rate) {
-  return static_cast<std::ptrdiff_t>(std::lround(seconds * sample_rate));
-}
-
-/// Samples -> seconds.
-inline double samples_to_seconds(std::ptrdiff_t samples, double sample_rate) {
-  ensure(sample_rate > 0, "sample_rate must be positive");
-  return static_cast<double>(samples) / sample_rate;
-}
-
 }  // namespace mute

@@ -114,7 +114,6 @@ class LancController {
   /// Number of future taps N (== usable lookahead in samples).
   std::size_t lookahead_samples() const { return engine_.noncausal_taps(); }
 
-  std::size_t current_profile() const { return current_profile_; }
   std::size_t profile_switch_count() const { return switch_count_; }
   std::size_t profile_count() const { return classifier_.profile_count(); }
 

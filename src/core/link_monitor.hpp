@@ -84,9 +84,6 @@ class LinkMonitor {
   /// Total samples spent unhealthy.
   std::size_t unhealthy_samples() const { return unhealthy_samples_; }
 
-  double short_power() const { return short_power_; }
-  double long_power() const { return long_power_; }
-
   void reset();
 
  private:

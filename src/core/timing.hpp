@@ -47,10 +47,4 @@ inline std::size_t lookahead_taps(double usable_s, double sample_rate) {
   return static_cast<std::size_t>(std::floor(usable_s * sample_rate));
 }
 
-/// The paper's Equation 4 restated: lookahead from geometry.
-inline double geometric_lookahead_s(double d_relay_m, double d_ear_m,
-                                    double speed_of_sound = kSpeedOfSound) {
-  return (d_ear_m - d_relay_m) / speed_of_sound;
-}
-
 }  // namespace mute::core

@@ -2,64 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <tuple>
 
 #include "common/error.hpp"
-#include "common/math_utils.hpp"
 #include "dsp/fir_design.hpp"
 
 namespace mute::dsp {
 
-Resampler::Resampler(std::size_t interpolation, std::size_t decimation,
-                     std::size_t taps_per_phase)
-    : l_(interpolation), m_(decimation) {
-  ensure(l_ >= 1 && m_ >= 1, "rates must be >= 1");
-  ensure(taps_per_phase >= 4, "need >= 4 taps per phase");
-  const std::size_t g = std::gcd(l_, m_);
-  l_ /= g;
-  m_ /= g;
-  if (l_ == 1 && m_ == 1) return;  // identity; no filter needed
-  // Prototype lowpass at the upsampled rate fs*L, cutoff at
-  // min(fs/2, fs*L/(2M)) scaled into the upsampled domain.
-  std::size_t taps = taps_per_phase * l_;
-  if (taps % 2 == 0) ++taps;
-  const double up_rate = static_cast<double>(l_);        // normalized fs = 1
-  const double cutoff = 0.5 / static_cast<double>(std::max(l_, m_));
-  prototype_ = design_lowpass(cutoff * up_rate, up_rate,
-                              taps, WindowType::kKaiser);
-  // Upsampling inserts zeros; compensate the L-fold amplitude loss.
-  for (double& c : prototype_) c *= static_cast<double>(l_);
-}
+namespace {
 
-Signal Resampler::process(std::span<const Sample> in) {
-  if (l_ == 1 && m_ == 1) return Signal(in.begin(), in.end());
-  // Conceptual pipeline: zero-stuff by L, FIR, take every M-th sample.
-  // Implemented polyphase: output j draws from input with phase
-  // (j*M) mod L using prototype coefficients of that phase only.
-  const std::size_t out_len = (in.size() * l_) / m_;
-  Signal out(out_len, 0.0f);
-  for (std::size_t j = 0; j < out_len; ++j) {
-    const std::size_t up_index = j * m_;          // index in upsampled stream
-    const std::size_t phase = up_index % l_;
-    const std::size_t base = up_index / l_;       // newest input sample index
-    double acc = 0.0;
-    // Coefficient k of this phase multiplies input sample (base - k).
-    for (std::size_t k = 0;; ++k) {
-      const std::size_t coeff_index = phase + k * l_;
-      if (coeff_index >= prototype_.size()) break;
-      if (k > base) break;
-      acc += prototype_[coeff_index] * static_cast<double>(in[base - k]);
-    }
-    out[j] = static_cast<Sample>(acc);
-  }
-  return out;
-}
+// Prototype taps per polyphase branch (the anti-alias filter's quality).
+constexpr std::size_t kTapsPerPhase = 24;
 
-double Resampler::latency_input_samples() const {
-  if (prototype_.empty()) return 0.0;
-  return static_cast<double>(prototype_.size() - 1) / 2.0 /
-         static_cast<double>(l_);
-}
+}  // namespace
 
 std::pair<std::size_t, std::size_t> rational_resample_ratio(double from_rate,
                                                             double to_rate) {
@@ -83,41 +38,25 @@ std::pair<std::size_t, std::size_t> rational_resample_ratio(double from_rate,
   return {best_l, best_m};
 }
 
-Signal resample(std::span<const Sample> in, double from_rate, double to_rate) {
-  const auto [l, m] = rational_resample_ratio(from_rate, to_rate);
-  Resampler rs(l, m);
-  return rs.process(in);
-}
-
-StreamingResampler::StreamingResampler(std::size_t interpolation,
-                                       std::size_t decimation,
-                                       std::size_t taps_per_phase)
-    : l_(interpolation), m_(decimation) {
-  // Reuse the batch constructor's validation and prototype design so the
-  // two paths can never drift apart.
-  Resampler batch(interpolation, decimation, taps_per_phase);
-  l_ = batch.interpolation();
-  m_ = batch.decimation();
-  if (l_ == 1 && m_ == 1) return;
-  // Rebuild the identical prototype (Resampler keeps it private).
-  std::size_t taps = taps_per_phase * l_;
+StreamingResampler::StreamingResampler(double from_rate, double to_rate) {
+  std::tie(l_, m_) = rational_resample_ratio(from_rate, to_rate);
+  if (l_ == 1 && m_ == 1) return;  // identity; no filter needed
+  // Prototype lowpass at the upsampled rate fs*L, cutoff at
+  // min(fs/2, fs*L/(2M)) scaled into the upsampled domain.
+  std::size_t taps = kTapsPerPhase * l_;
   if (taps % 2 == 0) ++taps;
-  const double up_rate = static_cast<double>(l_);
+  const double up_rate = static_cast<double>(l_);  // normalized fs = 1
   const double cutoff = 0.5 / static_cast<double>(std::max(l_, m_));
   prototype_ = design_lowpass(cutoff * up_rate, up_rate,
                               taps, WindowType::kKaiser);
+  // Upsampling inserts zeros; compensate the L-fold amplitude loss.
   for (double& c : prototype_) c *= static_cast<double>(l_);
   // Worst-case reach-back of the first output of a block: the output index
   // floor can land up to M-1 inputs before the block boundary, and each
   // output looks back ceil(prototype/L) further.
   const std::size_t span = m_ + prototype_.size() / l_ + 2;
   tail_.assign(span, 0.0f);
-  tail_len_ = 0;
 }
-
-StreamingResampler::StreamingResampler(double from_rate, double to_rate)
-    : StreamingResampler(rational_resample_ratio(from_rate, to_rate).first,
-                         rational_resample_ratio(from_rate, to_rate).second) {}
 
 Signal StreamingResampler::process(std::span<const Sample> in) {
   if (l_ == 1 && m_ == 1) {
@@ -142,8 +81,7 @@ Signal StreamingResampler::process(std::span<const Sample> in) {
     const auto phase = static_cast<std::size_t>(up_index % l_);
     const std::uint64_t base = up_index / l_;  // newest global input index
     double acc = 0.0;
-    // Identical loop structure (and accumulation order) to the batch path:
-    // coefficient k of this phase multiplies global input (base - k).
+    // Coefficient k of this phase multiplies global input (base - k).
     for (std::uint64_t k = 0;; ++k) {
       const std::size_t coeff_index =
           phase + static_cast<std::size_t>(k) * l_;

@@ -10,21 +10,11 @@ namespace mute::dsp {
 /// Root-mean-square level of a signal (0 for empty input).
 double rms(std::span<const Sample> x);
 
-/// RMS level expressed in dBFS-like decibels (20*log10(rms)).
-double rms_db(std::span<const Sample> x);
-
 /// Largest absolute sample value.
 double peak(std::span<const Sample> x);
 
 /// Scale the signal so its RMS equals `target_rms` (no-op on silence).
 void normalize_rms(std::span<Sample> x, double target_rms);
-
-/// out[i] = a[i] + gain*b[i]; b may be shorter (treated as zero-padded).
-Signal mix(std::span<const Sample> a, std::span<const Sample> b,
-           double gain = 1.0);
-
-/// Element-wise difference a - b (sizes must match).
-Signal subtract(std::span<const Sample> a, std::span<const Sample> b);
 
 /// Prepend `n` zeros (an integer bulk delay applied offline).
 Signal delay_signal(std::span<const Sample> x, std::size_t n);

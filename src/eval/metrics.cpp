@@ -107,30 +107,25 @@ double band_cancellation_db(std::span<const Sample> disturbance,
                      std::max(psd_d.band_power(lo_hz, hi_hz), 1e-24));
 }
 
-std::vector<double> moving_rms(std::span<const Sample> x, std::size_t window) {
-  ensure(window >= 1, "window must be >= 1");
-  std::vector<double> out(x.size(), 0.0);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double v = static_cast<double>(x[i]);
-    acc += v * v;
-    if (i >= window) {
-      const double old = static_cast<double>(x[i - window]);
-      acc -= old * old;
-    }
-    const auto denom = static_cast<double>(std::min(i + 1, window));
-    out[i] = std::sqrt(std::max(acc, 0.0) / denom);
-  }
-  return out;
-}
-
 double convergence_time_s(std::span<const Sample> residual,
                           double sample_rate, double window_s,
                           double margin_db) {
   ensure(!residual.empty(), "empty residual");
   const auto window =
       std::max<std::size_t>(16, static_cast<std::size_t>(window_s * sample_rate));
-  const auto env = moving_rms(residual, window);
+  // Moving-RMS envelope, same length as the residual.
+  std::vector<double> env(residual.size(), 0.0);
+  double acc = 0.0;
+  for (std::size_t i = 0; i < residual.size(); ++i) {
+    const double v = static_cast<double>(residual[i]);
+    acc += v * v;
+    if (i >= window) {
+      const double old = static_cast<double>(residual[i - window]);
+      acc -= old * old;
+    }
+    const auto denom = static_cast<double>(std::min(i + 1, window));
+    env[i] = std::sqrt(std::max(acc, 0.0) / denom);
+  }
   // Final level: median-ish of the last 10%.
   const std::size_t tail_start = env.size() - env.size() / 10 - 1;
   double final_level = 0.0;

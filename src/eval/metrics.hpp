@@ -48,8 +48,4 @@ double convergence_time_s(std::span<const Sample> residual,
                           double sample_rate, double window_s = 0.25,
                           double margin_db = 3.0);
 
-/// Moving RMS envelope (window in samples), same length as input.
-std::vector<double> moving_rms(std::span<const Sample> x,
-                               std::size_t window);
-
 }  // namespace mute::eval

@@ -47,8 +47,8 @@ Sample FmDemodulator::demodulate(Complex r) {
   const Complex d = r * std::conj(prev_);
   prev_ = r;
   const double dphi = std::atan2(d.imag(), d.real());
-  last_hz_ = dphi * fs_ / kTwoPi;
-  const double m = last_hz_ / deviation_;
+  const double hz = dphi * fs_ / kTwoPi;
+  const double m = hz / deviation_;
   return dc_block_.process(static_cast<Sample>(m));
 }
 
@@ -60,7 +60,6 @@ Signal FmDemodulator::demodulate(std::span<const Complex> r) {
 
 void FmDemodulator::reset() {
   prev_ = Complex(1.0, 0.0);
-  last_hz_ = 0.0;
   dc_block_.reset();
 }
 

@@ -42,15 +42,10 @@ class FmDemodulator {
   Signal demodulate(std::span<const Complex> r);
   void reset();
 
-  /// The raw (pre-DC-block) discriminator output for the last sample, in
-  /// Hz — exposing the measurable CFO for diagnostics.
-  double last_instantaneous_hz() const { return last_hz_; }
-
  private:
   double deviation_;
   double fs_;
   Complex prev_{1.0, 0.0};
-  double last_hz_ = 0.0;
   mute::dsp::Biquad dc_block_;
 };
 

@@ -51,17 +51,6 @@ double fade_shape(const FaultEvent& event, double t) {
 
 }  // namespace
 
-const char* fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kRelayOff: return "relay-off";
-    case FaultKind::kJammer: return "jammer";
-    case FaultKind::kDeepFade: return "deep-fade";
-    case FaultKind::kImpulseNoise: return "impulse-noise";
-    case FaultKind::kClockDrift: return "clock-drift";
-  }
-  return "unknown";
-}
-
 FaultSchedule& FaultSchedule::add(FaultEvent event) {
   ensure(event.start_s >= 0.0, "fault event start must be >= 0");
   ensure(event.duration_s >= 0.0, "fault event duration must be >= 0");

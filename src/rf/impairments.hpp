@@ -24,8 +24,6 @@ enum class FaultKind {
   kClockDrift,    // relay sample-clock drift in ppm (cheap crystal)
 };
 
-const char* fault_kind_name(FaultKind kind);
-
 /// One timed fault event. Magnitude fields are per-kind; unused ones are
 /// ignored. All times are in seconds of *stream time* (sample count /
 /// sample rate of the injector), so a schedule is exactly reproducible for
@@ -112,7 +110,6 @@ class FaultInjector {
   void set_schedule(FaultSchedule schedule);
 
   const FaultSchedule& schedule() const { return schedule_; }
-  const RfChannelParams& channel_params() const { return channel_.params(); }
 
   /// Stream time consumed so far, in seconds.
   double elapsed_s() const { return static_cast<double>(n_) / fs_; }

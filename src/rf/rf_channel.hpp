@@ -32,8 +32,6 @@ class RfChannel {
   ComplexSignal process(std::span<const Complex> x);
   void reset();
 
-  const RfChannelParams& params() const { return params_; }
-
  private:
   RfChannelParams params_;
   double fs_;

@@ -38,7 +38,6 @@ SystemConfig make_scheme_config(Scheme scheme,
     cfg.scene.relay_mic = {cfg.scene.error_mic.x + toward.x * s,
                            cfg.scene.error_mic.y + toward.y * s,
                            cfg.scene.error_mic.z + toward.z * s};
-    cfg.wireless_reference = false;
     cfg.use_rf_link = false;
     // A commercial ANC headset ships premium low-noise transducers but
     // pays the full converter/processing budget with only ~30 us of
@@ -56,7 +55,6 @@ SystemConfig make_scheme_config(Scheme scheme,
     // deadline is affordable — the reason Bose only cancels below ~1 kHz.
     cfg.control_bandwidth_hz = 700.0;
   } else {
-    cfg.wireless_reference = true;
     cfg.use_rf_link = true;
     cfg.grade = HardwareGrade::kCheap;
     cfg.latency = core::LatencyBudget::mute_ear_device();
@@ -162,7 +160,6 @@ void apply_fault_scenario(SystemConfig& cfg, FaultScenario scenario,
   // Faults only exist on the wireless chain; force it on so a Bose-style
   // config passed here fails loudly in the link instead of silently
   // running fault-free.
-  cfg.wireless_reference = true;
   cfg.use_rf_link = true;
   cfg.link_supervision = true;
   if (cfg.weight_norm_limit <= 0.0) cfg.weight_norm_limit = 50.0;

@@ -119,7 +119,6 @@ SoakReport run_chaos_soak(const SoakConfig& config) {
   dc.device.hold_timeout_s = 0.3;
   dc.device.lanc.fxlms.mu = 0.3;
   dc.device.lanc.fxlms.leakage = 2e-4;
-  mesh.spectrum_supervision = config.spectrum_supervision;
 
   audio::WhiteNoiseSource noise(0.1, config.seed * 31 + 7);
   const MeshSimResult r = run_mesh_simulation(noise, mesh);

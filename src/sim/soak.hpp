@@ -32,7 +32,6 @@ struct SoakConfig {
   std::size_t relay_count = 4;   // 2..8 supported
   double duration_s = 12.0;
   std::uint64_t seed = 1;
-  bool spectrum_supervision = true;
 };
 
 /// Outcome of one soak run, with per-invariant verdicts.

@@ -186,7 +186,7 @@ SystemResult run_anc_simulation(audio::SoundSource& noise,
 
   double link_delay_samples = 0.0;
   Signal x_link;
-  if (config.wireless_reference && config.use_rf_link) {
+  if (config.use_rf_link) {
     rf::RelayConfig rf_cfg = config.rf;
     rf_cfg.audio_rate = fs;
     rf::RelayLink link(rf_cfg, config.seed + 23);

@@ -47,8 +47,7 @@ struct SystemConfig {
   std::uint64_t seed = 1;
 
   // Reference acquisition.
-  bool wireless_reference = true;     // false = headphone-mounted ref mic
-  bool use_rf_link = true;            // push reference through the FM chain
+  bool use_rf_link = true;            // false = wired reference, no FM chain
   rf::RelayConfig rf{};               // rf.faults scripts link faults
   double extra_reference_delay_s = 0.0;  // Figure 16 delayed-line injection
 

@@ -7,7 +7,6 @@
 #include "acoustics/propagation.hpp"
 #include "acoustics/room.hpp"
 #include "acoustics/transducer.hpp"
-#include "audio/generators.hpp"
 #include "common/math_utils.hpp"
 #include "dsp/signal_ops.hpp"
 
@@ -106,27 +105,6 @@ TEST(Rir, RejectsOutsidePositions) {
   RirOptions opts;
   EXPECT_THROW(image_source_rir(r, {-1, 0, 0}, {1, 1, 1}, opts),
                PreconditionError);
-}
-
-TEST(Channel, StreamingMatchesOffline) {
-  Room r = Room::office();
-  RirOptions opts;
-  opts.sample_rate = kFs;
-  opts.length = 256;
-  AcousticChannel ch(image_source_rir(r, {1, 2, 1}, {3, 2, 1}, opts), "t");
-  audio::WhiteNoiseSource noise(0.1, 3);
-  const auto x = noise.generate(1000);
-  const auto offline = ch.apply(x);
-  Signal streamed(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) streamed[i] = ch.process(x[i]);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(streamed[i], offline[i], 1e-4);
-  }
-}
-
-TEST(Channel, DirectPathIndexFindsStrongestTap) {
-  AcousticChannel ch({0.0, 0.1, 0.9, 0.2}, "t");
-  EXPECT_EQ(ch.direct_path_index(), 2u);
 }
 
 TEST(Channel, ShiftIrDelaysTaps) {

@@ -55,13 +55,6 @@ TEST(MathUtils, WrapPhaseStaysInRange) {
   }
 }
 
-TEST(MathUtils, SampleSecondConversions) {
-  EXPECT_EQ(seconds_to_samples(1.0, 16000.0), 16000);
-  EXPECT_EQ(seconds_to_samples(0.5e-3, 16000.0), 8);
-  EXPECT_NEAR(samples_to_seconds(8000, 16000.0), 0.5, 1e-12);
-  EXPECT_THROW(samples_to_seconds(1, 0.0), PreconditionError);
-}
-
 TEST(Rng, Deterministic) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) {

@@ -6,6 +6,7 @@
 #include "common/math_utils.hpp"
 #include "common/rng.hpp"
 #include "acoustics/environment.hpp"
+#include "acoustics/propagation.hpp"
 #include "core/filter_cache.hpp"
 #include "core/gcc_phat.hpp"
 #include "core/lanc.hpp"
@@ -41,7 +42,7 @@ TEST(Timing, LookaheadTapsFloorsAndClamps) {
 }
 
 TEST(Timing, Equation4OneMeterIsThreeMs) {
-  EXPECT_NEAR(geometric_lookahead_s(1.0, 2.0), 2.94e-3, 0.05e-3);
+  EXPECT_NEAR(acoustics::lookahead_s(1.0, 2.0), 2.94e-3, 0.05e-3);
 }
 
 // ----------------------------------------------------------- gcc-phat

@@ -73,14 +73,6 @@ TEST(Metrics, SmoothingReducesSpikeHeight) {
   EXPECT_LT(sm.cancellation_db[100], 10.0);
 }
 
-TEST(Metrics, MovingRmsTracksEnvelope) {
-  Signal x(2000, 0.0f);
-  for (std::size_t i = 1000; i < 2000; ++i) x[i] = 1.0f;
-  const auto env = moving_rms(x, 100);
-  EXPECT_LT(env[500], 0.01);
-  EXPECT_NEAR(env[1999], 1.0, 0.01);
-}
-
 TEST(Metrics, ConvergenceTimeDetectsDecay) {
   // Error decays exponentially to a floor after 1 second.
   Signal r(static_cast<std::size_t>(4 * kFs));

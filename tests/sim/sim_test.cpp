@@ -50,9 +50,9 @@ TEST(Scenarios, BoseConfigMovesReferenceOntoHeadphone) {
       acoustics::distance(bose_cfg.scene.relay_mic, bose_cfg.scene.error_mic);
   EXPECT_GT(d_mute, 1.0);
   EXPECT_NEAR(d_bose, 0.015, 1e-6);
-  EXPECT_FALSE(bose_cfg.wireless_reference);
+  EXPECT_FALSE(bose_cfg.use_rf_link);
   EXPECT_EQ(bose_cfg.max_noncausal_taps, 0u);
-  EXPECT_TRUE(mute_cfg.wireless_reference);
+  EXPECT_TRUE(mute_cfg.use_rf_link);
 }
 
 TEST(Scenarios, PassiveFlagsFollowScheme) {

@@ -78,8 +78,8 @@ run_rt_lint() {
   tools/run_static_analysis.sh --rt-lint-only
 }
 
-# Filter shared with the perf-smoke workflow job: calibration + every
-# benchmark bench_gate.py pins (plus their other tap sizes, informational).
+# Calibration + every benchmark bench_gate.py pins (plus their other tap
+# sizes, informational). The perf-smoke workflow job runs this function.
 BENCH_FILTER='BM_Calibration|BM_Kernel|BM_Fft/|BM_FirFilterPerSample|BM_FxlmsCycle|BM_AdaptiveFirStep|BM_ShadowObserve|BM_FleetThroughput|BM_DeviceTick|BM_RelaySelectRound|BM_LancTick/|BM_LinkMonitor|BM_FmModDemod|BM_Resample16kTo256k'
 
 run_perf() {
