@@ -1,11 +1,14 @@
-// Chaos-soak harness tests (tentpole, part 3): the episode generator is a
-// deterministic pure function of the config with hard safety properties
-// (episodes inside the post-calibration window, always >= 1 healthy relay,
-// jammers pinned to the victim's home channel), and a short seeded soak
-// run upholds every invariant the harness asserts.
+// Soak harness tests: the mesh episode generator is a deterministic pure
+// function of the config with hard safety properties (episodes inside the
+// post-calibration window, always >= 1 healthy relay, jammers pinned to
+// the victim's home channel); a short seeded mesh soak and a small fleet
+// soak uphold every invariant the harness asserts; and both verdicts
+// serialize to one JSON schema.
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <string>
+#include <variant>
 
 #include <gtest/gtest.h>
 
@@ -111,24 +114,76 @@ TEST(SoakRun, ShortSeededSoakUpholdsEveryInvariant) {
   cfg.relay_count = 3;
   cfg.duration_s = 7.0;
   cfg.seed = 5;
-  const SoakReport report = run_chaos_soak(cfg);
+  cfg.seeds = 1;
+  const SoakVerdict v = run_chaos_soak(cfg);
+  ASSERT_TRUE(v.mesh());
+  ASSERT_EQ(v.units.size(), 1u);
+  const SoakUnit& u = v.units.front();
 
-  EXPECT_TRUE(report.never_louder)
-      << "worst window excess " << report.worst_window_excess_db << " dB at t="
-      << report.worst_window_t_s;
-  EXPECT_TRUE(report.gap_bounded)
-      << "max gap " << report.max_reacquisition_gap_s << " s";
-  EXPECT_TRUE(report.allocation_clean);
-  EXPECT_TRUE(report.passed());
+  EXPECT_TRUE(v.never_louder) << "worst window excess " << u.worst_excess_db
+                              << " dB at t=" << u.worst_window_start_s;
+  EXPECT_TRUE(v.gap_bounded) << "max gap " << u.max_reacquisition_gap_s
+                             << " s";
+  EXPECT_TRUE(v.allocation_clean);
+  EXPECT_TRUE(u.passed);
+  EXPECT_TRUE(v.passed());
 
-  EXPECT_EQ(report.seed, cfg.seed);
-  EXPECT_EQ(report.relay_count, cfg.relay_count);
-  EXPECT_EQ(report.episodes.size(), kSoakEpisodes);
+  EXPECT_EQ(u.id, cfg.seed);
+  EXPECT_EQ(std::get<SoakConfig>(v.config).relay_count, cfg.relay_count);
+  EXPECT_EQ(u.schedule.size(), kSoakEpisodes);
+  EXPECT_DOUBLE_EQ(u.served_s, cfg.duration_s);
   // The chaos actually landed: the monitor saw fault episodes.
-  EXPECT_GE(report.link_fault_episodes, 1u);
-  if (report.allocation_tracked) {
-    EXPECT_GT(report.total_ticks, 0u);
+  EXPECT_GE(u.fault_episodes, 1u);
+  if (v.allocation_tracked) {
+    EXPECT_GT(u.total_ticks, 0u);
   }
+}
+
+TEST(SoakRun, FleetSoakUpholdsEveryInvariant) {
+  FleetSoakConfig cfg;
+  cfg.devices = 16;
+  cfg.sim_seconds = 2.5;
+  const SoakVerdict v = run_fleet_soak(cfg);
+  ASSERT_FALSE(v.mesh());
+  EXPECT_TRUE(v.passed());
+  ASSERT_FALSE(v.units.empty());
+  if (v.allocation_tracked) {
+    EXPECT_EQ(v.worker_heap_allocations, 0u);
+  }
+  for (std::size_t i = 0; i < v.units.size(); ++i) {
+    const SoakUnit& u = v.units[i];
+    if (i > 0) {
+      EXPECT_LT(v.units[i - 1].id, u.id) << "units out of id order";
+    }
+    EXPECT_TRUE(u.passed) << "tenant " << u.id << " at " << u.worst_excess_db
+                          << " dB";
+    EXPECT_TRUE(std::isfinite(u.worst_excess_db)) << "judged without a window";
+    // Windows are scored from the 1.5 s grace on; the start is the
+    // window's own, a quarter second before its end.
+    EXPECT_GE(u.worst_window_start_s, 1.25 - 1e-9) << "tenant " << u.id;
+    EXPECT_LE(u.worst_window_start_s + 0.25, u.served_s + 1e-9);
+    EXPECT_LT(u.profile, 3u);
+    EXPECT_GT(u.arena_high_water, 0u);
+  }
+}
+
+// The one number a JSON value may not hold: a bare inf or nan token.
+bool has_bare_non_finite(const std::string& json) {
+  for (const char* token : {"inf", "nan", "Infinity", "NaN"}) {
+    for (std::size_t at = json.find(token); at != std::string::npos;
+         at = json.find(token, at + 1)) {
+      if (at == 0 || json[at - 1] != '"') return true;
+    }
+  }
+  return false;
+}
+
+// The value after `"key": ` at its first occurrence, as text.
+std::string json_value(const std::string& json, const std::string& key) {
+  const std::size_t at = json.find("\"" + key + "\": ");
+  if (at == std::string::npos) return {};
+  const std::size_t from = at + key.size() + 4;
+  return json.substr(from, json.find_first_of(",}\n", from) - from);
 }
 
 TEST(SoakRun, ReportsSerializeToTheCiArtifact) {
@@ -136,17 +191,53 @@ TEST(SoakRun, ReportsSerializeToTheCiArtifact) {
   cfg.relay_count = 3;
   cfg.duration_s = 7.0;
   cfg.seed = 17;
-  const SoakReport report = run_chaos_soak(cfg);
-  const std::string json = soak_reports_json({report});
+  cfg.seeds = 1;
+  const SoakVerdict mesh = run_chaos_soak(cfg);
 
-  for (const char* key :
-       {"\"seed\"", "\"relays\"", "\"passed\"", "\"never_louder\"",
-        "\"gap_bounded\"", "\"allocation_clean\"",
-        "\"max_reacquisition_gap_s\"", "\"schedule\"", "\"hops\"",
-        "\"handoffs\""}) {
-    EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
+  // A fleet verdict with a tenant that scored no window and one that did.
+  SoakVerdict fleet;
+  fleet.config = FleetSoakConfig{};
+  fleet.units.resize(2);
+  fleet.units[0].id = 3;
+  fleet.units[1].id = 4;
+  fleet.units[1].worst_excess_db = -1.0 / 3.0;
+  fleet.units[1].worst_window_start_s = 1.25;
+
+  const std::string mesh_json = soak_verdict_json(mesh);
+  const std::string fleet_json = soak_verdict_json(fleet);
+  for (const std::string& json : {mesh_json, fleet_json}) {
+    for (const char* key :
+         {"mode", "config", "passed", "never_louder", "gap_bounded",
+          "allocation_clean", "allocation_tracked", "judged", "failed",
+          "units", "id", "worst_excess_db", "worst_window_start_s",
+          "served_s", "handoffs", "holds"}) {
+      EXPECT_NE(json.find("\"" + std::string(key) + "\": "),
+                std::string::npos)
+          << "missing " << key << " in\n" << json;
+    }
+    EXPECT_FALSE(has_bare_non_finite(json)) << json;
   }
-  EXPECT_NE(json.find("\"seed\": 17"), std::string::npos);
+  for (const char* key : {"max_reacquisition_gap_s", "schedule", "hops",
+                          "tx_steps", "allocating_ticks", "fault_episodes"}) {
+    EXPECT_NE(mesh_json.find(key), std::string::npos) << "missing " << key;
+  }
+  for (const char* key : {"profile", "arena_high_water",
+                          "worker_heap_allocations"}) {
+    EXPECT_NE(fleet_json.find(key), std::string::npos) << "missing " << key;
+  }
+  EXPECT_EQ(json_value(mesh_json, "mode"), "\"mesh\"");
+  EXPECT_EQ(json_value(mesh_json, "id"), "17");
+  EXPECT_EQ(json_value(fleet_json, "mode"), "\"fleet\"");
+
+  // "No window scored" is null; every number reads back to its bits.
+  EXPECT_EQ(json_value(fleet_json, "worst_excess_db"), "null");
+  EXPECT_EQ(json_value(fleet_json, "worst_window_start_s"), "null");
+  const std::size_t second = fleet_json.find("\"id\": 4");
+  ASSERT_NE(second, std::string::npos);
+  EXPECT_EQ(std::stod(json_value(fleet_json.substr(second), "worst_excess_db")),
+            -1.0 / 3.0);
+  EXPECT_EQ(std::stod(json_value(mesh_json, "worst_excess_db")),
+            mesh.units.front().worst_excess_db);
 }
 
 }  // namespace

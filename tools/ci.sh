@@ -14,14 +14,14 @@
 #                 the committed BENCH_baseline.json (DESIGN.md §10); each
 #                 time is the minimum of three repetitions, the statistic
 #                 the baseline records
-#   6. soak-smoke : bench/chaos_soak on a short multi-seed schedule — the
-#                 mesh-resilience invariants (never louder than passive,
-#                 bounded re-acquisition, allocation-free steady state)
-#                 under randomized fault chaos; writes soak-report.json,
-#                 then re-runs on one worker and cmps the two reports
-#                 (DESIGN.md §12)
-#   7. fleet-smoke : bench/fleet_soak on a small churned tenant fleet —
-#                 per-tenant never-louder verdicts plus the zero
+#   6. soak-smoke : `soak mesh` (bench/soak) on a short multi-seed
+#                 schedule — the mesh-resilience invariants (never louder
+#                 than passive, bounded re-acquisition, allocation-free
+#                 steady state) under randomized fault chaos; writes
+#                 soak-report.json, then re-runs on one worker and cmps
+#                 the two reports (DESIGN.md §12)
+#   7. fleet-smoke : `soak fleet` (bench/soak) on a small churned tenant
+#                 fleet — per-tenant never-louder verdicts plus the zero
 #                 worker-lane heap traffic contract of the fleet runtime;
 #                 writes fleet-soak-report.json (DESIGN.md §14)
 #   8. e2e-smoke : the fleet-serving benchmark (bench/e2e) on every
@@ -103,10 +103,10 @@ run_perf() {
 run_soak_smoke() {
   echo "=== job: soak smoke (chaos invariants) ==="
   cmake --preset dev
-  cmake --build --preset dev -j "$JOBS" --target chaos_soak
-  ./build-dev/bench/chaos_soak \
+  cmake --build --preset dev -j "$JOBS" --target soak
+  ./build-dev/bench/soak mesh \
     --relays 4 --duration 8 --seeds 3 --json soak-report.json
-  MUTE_SWEEP_THREADS=1 ./build-dev/bench/chaos_soak \
+  MUTE_SWEEP_THREADS=1 ./build-dev/bench/soak mesh \
     --relays 4 --duration 8 --seeds 3 --json soak-report-1worker.json
   cmp soak-report.json soak-report-1worker.json
 }
@@ -121,10 +121,10 @@ run_soak_smoke() {
 run_fleet_smoke() {
   echo "=== job: fleet smoke (multi-tenant runtime invariants) ==="
   cmake --preset dev
-  cmake --build --preset dev -j "$JOBS" --target fleet_soak
-  ./build-dev/bench/fleet_soak \
+  cmake --build --preset dev -j "$JOBS" --target soak
+  ./build-dev/bench/soak fleet \
     --devices 64 --sim-seconds 3 --json fleet-soak-report.json
-  MUTE_SWEEP_THREADS=1 ./build-dev/bench/fleet_soak \
+  MUTE_SWEEP_THREADS=1 ./build-dev/bench/soak fleet \
     --devices 64 --sim-seconds 3 --json fleet-soak-report-1worker.json
   cmp fleet-soak-report.json fleet-soak-report-1worker.json
 }
