@@ -5,8 +5,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "adaptive/fdaf.hpp"
@@ -25,6 +27,7 @@
 #include "dsp/resampler.hpp"
 #include "rf/fm.hpp"
 #include "sim/fleet.hpp"
+#include "sim/worker_pool.hpp"
 
 namespace {
 
@@ -387,6 +390,32 @@ void BM_FleetThroughput(benchmark::State& state) {
                           static_cast<int64_t>(tenants * fleet.block_samples()));
 }
 BENCHMARK(BM_FleetThroughput)->Arg(8);
+
+// One WorkerPool job of 16 near-empty items on 4 lanes: the dispatch
+// alone (publish, wake, claim, join), in wall time. /0 runs the jobs back
+// to back, so the helper lanes are still polling when the next one lands;
+// /1000 idles 1 ms before each job, off the clock, so the helpers have
+// parked and the job pays their wake-up. A fixed 2000 jobs each, so the
+// idle gaps stay a few seconds. Not pinned in the perf gate: the parked
+// case times the host's wake-up path as much as the pool.
+void BM_PoolDispatch(benchmark::State& state) {
+  const std::chrono::microseconds gap(state.range(0));
+  sim::WorkerPool pool(4);
+  for (auto _ : state) {
+    if (gap.count() > 0) {
+      state.PauseTiming();
+      std::this_thread::sleep_for(gap);
+      state.ResumeTiming();
+    }
+    pool.run(16, [](std::size_t i) { benchmark::DoNotOptimize(i); });
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 16);
+}
+BENCHMARK(BM_PoolDispatch)
+    ->Arg(0)
+    ->Arg(1000)
+    ->Iterations(2000)
+    ->UseRealTime();
 
 // One closed-loop device tick, EarLoop::step: the relay feed, the whole
 // MuteDevice::tick, the plant FIR and the ear sum. Paper-default device on

@@ -206,16 +206,17 @@ void FleetRuntime::apply_control() {
   // 2. Construct pending admits — in parallel, each inside its tenant's
   //    arena, so mass admission scales across lanes and never contends on
   //    the global heap.
+  //    Clearing the list keeps its capacity, so an admission block
+  //    allocates nothing on the control thread.
   if (!pending_admits_.empty()) {
-    std::vector<PendingAdmit> batch;
-    batch.swap(pending_admits_);
     const auto construct = [&](std::size_t i) {
-      const PendingAdmit& pa = batch[i];
+      const PendingAdmit& pa = pending_admits_[i];
       Tenant& t = tenants_[pa.slot];
       ScopedArenaAlloc scope(arenas_.arena(pa.slot));
       t.ear = std::make_unique<EarLoop>(profiles_[t.profile].streams, pa.seed);
     };
-    pool_.run(batch.size(), construct);
+    pool_.run(pending_admits_.size(), construct);
+    pending_admits_.clear();
     schedule_dirty_ = true;
   }
 

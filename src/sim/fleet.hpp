@@ -55,10 +55,11 @@ struct FleetConfig {
   /// Scheduling quantum: each live tenant advances this many samples per
   /// block, then the pool barrier hands tenants back to the control plane.
   std::size_t block_samples = 256;
-  /// Tenants per work item. Batching amortizes the claim/dispatch cost and
-  /// keeps same-profile tenants on one lane (schedule order is
-  /// profile-major).
-  std::size_t batch_tenants = 8;
+  /// Tenants per work item. The pool already gives each lane a contiguous
+  /// run of the profile-major schedule (its slice, WorkerPool), so a batch
+  /// above 1 adds no locality; it only coarsens stealing and, with fewer
+  /// items than lanes, leaves lanes idle.
+  std::size_t batch_tenants = 1;
   /// Admission ramp-in / drain fade, seconds (0 = hard cut). Applied to
   /// the anti-noise injection at the ear, Muter/Drainer-style, so admits
   /// and evictions never click.
@@ -123,11 +124,14 @@ struct TenantStats {
 /// grown on every lane by add_profile() outside any arena.
 ///
 /// Scheduling: the live-tenant schedule is profile-major (tenants sharing
-/// a profile are contiguous), cut into `batch_tenants` work items, and
-/// dispatched through WorkerPool::run once per block — work stealing over
-/// items, a barrier at the block boundary. The barrier's happens-before
-/// edge is what lets a tenant migrate between lanes across blocks without
-/// fences in the audio path.
+/// a profile are contiguous), cut into `batch_tenants` work items (one
+/// tenant each by default), and dispatched through WorkerPool::run once
+/// per block. The pool gives each lane a contiguous slice of the items and
+/// lets idle lanes steal; the schedule is stable between membership
+/// changes, so a tenant runs on the same lane block after block unless
+/// stolen. The barrier at the block boundary has the happens-before edge
+/// that lets a stolen tenant change lanes without fences in the audio
+/// path.
 ///
 /// Control plane (admit / drain / evict) runs on the caller's thread at
 /// block boundaries only, so the whole fleet is deterministic in

@@ -5,6 +5,7 @@
 #endif
 
 #include <algorithm>
+#include <chrono>
 
 #include "common/error.hpp"
 #include "sim/parallel_sweep.hpp"
@@ -53,11 +54,37 @@ void start_on(int cpu) {
 #endif
 }
 
+// Spins until pred() holds or kPollWindow has passed; returns pred().
+template <typename Pred>
+bool poll(const Pred& pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + WorkerPool::kPollWindow;
+  for (;;) {
+    for (int k = 0; k < 32; ++k) {
+      if (pred()) return true;
+#if defined(__x86_64__) || defined(__i386__)
+      __builtin_ia32_pause();
+#endif
+    }
+    if (std::chrono::steady_clock::now() >= deadline) return pred();
+  }
+}
+
+// Waits until `value` no longer reads `old` (polling, then parked) and
+// returns what it reads, acquiring the store that changed it.
+std::uint32_t await_change(const std::atomic<std::uint32_t>& value,
+                           std::uint32_t old) {
+  poll([&] { return value.load(std::memory_order_acquire) != old; });
+  value.wait(old, std::memory_order_acquire);
+  return value.load(std::memory_order_acquire);
+}
+
 }  // namespace
 
 WorkerPool::WorkerPool(std::size_t workers)
-    : workers_(workers == 0 ? default_sweep_workers() : workers) {
-  if (workers_ < 1) workers_ = 1;
+    : workers_(std::max<std::size_t>(
+          workers == 0 ? default_sweep_workers() : workers, 1)),
+      slices_(workers_) {
   threads_.reserve(workers_ - 1);
   const std::vector<int> cpus =
       workers_ > 1 ? helper_start_cpus() : std::vector<int>{};
@@ -71,20 +98,17 @@ WorkerPool::WorkerPool(std::size_t workers)
 }
 
 WorkerPool::~WorkerPool() {
-  {
-    const std::lock_guard<std::mutex> lock(m_);
-    stop_ = true;
-  }
-  cv_work_.notify_all();
+  stop_ = true;
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
   for (auto& t : threads_) t.join();
 }
 
 // body(index), keeping the first exception any lane throws for the
 // caller; failed_ then stops further claims.
-void WorkerPool::run_guarded(const FunctionRef<void(std::size_t)>& body,
-                             std::size_t index) {
+void WorkerPool::run_guarded(std::size_t index) {
   try {
-    body(index);
+    (*body_)(index);
   } catch (...) {
     {
       const std::lock_guard<std::mutex> lock(error_m_);
@@ -94,35 +118,33 @@ void WorkerPool::run_guarded(const FunctionRef<void(std::size_t)>& body,
   }
 }
 
-void WorkerPool::drain(const FunctionRef<void(std::size_t)>& body) {
-  while (!failed_.load(std::memory_order_acquire)) {
-    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= count_) return;
-    run_guarded(body, i);
+// Claims from the lane's own slice, then from the others in lane order.
+// A cursor only grows, so an exhausted slice stays exhausted however many
+// lanes overshoot its end.
+void WorkerPool::drain(std::size_t lane) {
+  for (std::size_t k = 0; k < workers_; ++k) {
+    Slice& slice = slices_[(lane + k) % workers_];
+    for (;;) {
+      if (failed_.load(std::memory_order_acquire)) return;
+      const std::size_t i = slice.next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= slice.end) break;
+      run_guarded(i);
+    }
   }
 }
 
 void WorkerPool::worker_loop(std::size_t lane) {
-  std::uint64_t seen = 0;
+  std::uint32_t seen = 0;
   for (;;) {
-    std::optional<FunctionRef<void(std::size_t)>> body;
-    bool each_lane = false;
-    {
-      std::unique_lock<std::mutex> lock(m_);
-      cv_work_.wait(lock, [&] { return stop_ || epoch_ != seen; });
-      if (stop_) return;
-      seen = epoch_;
-      body.emplace(*body_);  // two-word copy under the lock, no allocation
-      each_lane = each_lane_;
-    }
-    if (each_lane) {
-      run_guarded(*body, lane);
+    seen = await_change(epoch_, seen);
+    if (stop_) return;
+    if (each_lane_) {
+      run_guarded(lane);
     } else {
-      drain(*body);
+      drain(lane);
     }
-    {
-      const std::lock_guard<std::mutex> lock(m_);
-      if (--busy_ == 0) cv_done_.notify_one();
+    if (busy_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      busy_.notify_one();
     }
   }
 }
@@ -146,32 +168,36 @@ void WorkerPool::run_on_each_lane(FunctionRef<void(std::size_t)> body) {
 }
 
 void WorkerPool::dispatch(std::size_t count,
-                          FunctionRef<void(std::size_t)> body,
+                          const FunctionRef<void(std::size_t)>& body,
                           bool each_lane) {
-  {
-    const std::lock_guard<std::mutex> lock(m_);
-    ensure(body_ == std::nullopt, "WorkerPool::run is not reentrant");
-    body_.emplace(body);
-    count_ = count;
-    each_lane_ = each_lane;
-    next_.store(0, std::memory_order_relaxed);
-    failed_.store(false, std::memory_order_relaxed);
-    first_error_ = nullptr;
-    busy_ = threads_.size();
-    ++epoch_;
+  ensure(body_ == nullptr, "WorkerPool::run is not reentrant");
+  body_ = &body;
+  each_lane_ = each_lane;
+  // Lane l's slice is [l*count/W, (l+1)*count/W), with l*count/W written
+  // so that it cannot overflow.
+  const auto slice_begin = [&](std::size_t l) {
+    return l * (count / workers_) + l * (count % workers_) / workers_;
+  };
+  for (std::size_t l = 0; l < workers_; ++l) {
+    slices_[l].next.store(slice_begin(l), std::memory_order_relaxed);
+    slices_[l].end = slice_begin(l + 1);
   }
-  cv_work_.notify_all();
+  failed_.store(false, std::memory_order_relaxed);
+  first_error_ = nullptr;
+  const auto helpers = static_cast<std::uint32_t>(threads_.size());
+  busy_.store(helpers, std::memory_order_relaxed);
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
   // The calling thread is a full worker (lane 0).
   if (each_lane) {
-    run_guarded(body, 0);
+    run_guarded(0);
   } else {
-    drain(body);
+    drain(0);
   }
-  {
-    std::unique_lock<std::mutex> lock(m_);
-    cv_done_.wait(lock, [&] { return busy_ == 0; });
-    body_.reset();
+  for (std::uint32_t left = helpers; left != 0;) {
+    left = await_change(busy_, left);
   }
+  body_ = nullptr;
   if (first_error_ != nullptr) {
     std::exception_ptr err = first_error_;
     first_error_ = nullptr;

@@ -1,8 +1,10 @@
 // sim::parallel_sweep (DESIGN.md §10): ordered results, thread-count
 // invariance under the determinism contract, exception propagation, and
 // edge counts; and the WorkerPool dispatch it runs on (every index exactly
-// once, once per lane, lane placement). The same tests run under the tsan preset to prove
-// the runner itself is race-free.
+// once, back to back and after the lanes park; slice stealing; exceptions
+// on woken helpers; destruction while polling or parked; once per lane;
+// lane placement). The same tests run under the tsan preset to prove the
+// runner itself is race-free.
 #include <gtest/gtest.h>
 
 #if defined(__linux__)
@@ -10,6 +12,7 @@
 #endif
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <latch>
 #include <mutex>
@@ -116,16 +119,115 @@ TEST(ParallelSweep, AbandonsRemainingWorkAfterFailure) {
   EXPECT_LT(started.load(), 10000U);
 }
 
+// Runs one job of `count` indices and expects each to run exactly once.
+void expect_each_index_once(sim::WorkerPool& pool, std::size_t count) {
+  std::vector<std::atomic<int>> hits(count);
+  pool.run(count, [&](std::size_t i) {
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (std::size_t i = 0; i < count; ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "lanes=" << pool.worker_count()
+                                 << " count=" << count << " i=" << i;
+  }
+}
+
+// Long enough that every waiting lane has given up polling and parked.
+void let_lanes_park() {
+  std::this_thread::sleep_for(20 * sim::WorkerPool::kPollWindow);
+}
+
 TEST(WorkerPool, CoversEveryIndexExactlyOnce) {
-  for (const std::size_t workers : {1UL, 3UL, 8UL}) {
-    std::vector<std::atomic<int>> hits(257);
-    sim::WorkerPool pool(workers);
-    pool.run(hits.size(), [&](std::size_t i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "workers=" << workers << " i=" << i;
+  // Counts below, at and above the lane count, so some slices are empty
+  // and some lanes must steal. Back to back the helpers are still
+  // polling when the next job lands; after the sleep they are parked.
+  for (const std::size_t lanes : {1UL, 3UL, 4UL, 8UL}) {
+    sim::WorkerPool pool(lanes);
+    for (int round = 0; round < 20; ++round) {
+      for (const std::size_t count : {1UL, 3UL, 4UL, 257UL}) {
+        expect_each_index_once(pool, count);
+      }
     }
+    for (int round = 0; round < 3; ++round) {
+      for (const std::size_t count : {1UL, 3UL, 4UL, 257UL}) {
+        let_lanes_park();
+        expect_each_index_once(pool, count);
+      }
+    }
+  }
+}
+
+TEST(WorkerPool, AHeldLaneHasItsSliceStolen) {
+  // 16 indices on 4 lanes: lane 1 owns [4, 8). Whichever thread runs
+  // index 4 is held until every other index has run, so 5, 6 and 7 can
+  // only complete if other lanes steal them. The hold is bounded, so a
+  // pool that never steals fails here instead of hanging.
+  constexpr std::size_t kLanes = 4;
+  constexpr std::size_t kCount = 16;
+  constexpr std::size_t kHeld = kCount / kLanes;
+  sim::WorkerPool pool(kLanes);
+  for (int round = 0; round < 5; ++round) {
+    std::latch others(kCount - 1);
+    std::atomic<bool> released_by_others{false};
+    std::vector<std::atomic<int>> hits(kCount);
+    pool.run(kCount, [&](std::size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+      if (i != kHeld) {
+        others.count_down();
+        return;
+      }
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (!others.try_wait() &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      released_by_others.store(others.try_wait());
+    });
+    EXPECT_TRUE(released_by_others.load()) << "round=" << round;
+    for (std::size_t i = 0; i < kCount; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "round=" << round << " i=" << i;
+    }
+  }
+}
+
+TEST(WorkerPool, ExceptionOnAWokenHelperReachesTheCaller) {
+  // Four indices on four lanes, each held until all four run at once, so
+  // every helper runs one; each helper throws. The helpers were parked
+  // before the job, so they throw on the wake path. The pool must then
+  // run the next job normally.
+  constexpr std::size_t kLanes = 4;
+  sim::WorkerPool pool(kLanes);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int round = 0; round < 3; ++round) {
+    let_lanes_park();
+    std::latch all_running(kLanes);
+    EXPECT_THROW(pool.run(kLanes,
+                          [&](std::size_t) {
+                            all_running.arrive_and_wait();
+                            if (std::this_thread::get_id() != caller) {
+                              throw std::runtime_error("helper failed");
+                            }
+                          }),
+                 std::runtime_error)
+        << "round=" << round;
+    expect_each_index_once(pool, 257);
+  }
+}
+
+TEST(WorkerPool, DestroysWhilePollingOrParked) {
+  // Helpers still polling for the next job, then helpers parked, then
+  // helpers that may not have started yet: every destruction joins.
+  for (int round = 0; round < 10; ++round) {
+    sim::WorkerPool pool(4);
+    expect_each_index_once(pool, 64);
+  }
+  for (int round = 0; round < 3; ++round) {
+    sim::WorkerPool pool(4);
+    expect_each_index_once(pool, 64);
+    let_lanes_park();
+  }
+  for (int round = 0; round < 10; ++round) {
+    const sim::WorkerPool pool(4);
   }
 }
 

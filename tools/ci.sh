@@ -7,7 +7,8 @@
 #   1. plain    : dev preset build + full ctest
 #   2. sanitize : asan-ubsan preset build + ctest -L sanitize
 #   3. tsan     : tsan preset build + ctest -L sanitize — the race gate for
-#                 sim/parallel_sweep and the work-stealing pool
+#                 sim/parallel_sweep and the work-stealing pool — then the
+#                 WorkerPool tests repeated until one fails, up to 20 times
 #   4. analyze  : tools/run_static_analysis.sh (clang-tidy or fallback,
 #                 plus the rt-lint RT-safety gate)
 #   5. perf     : micro_dsp hot-path benches + tools/bench_gate.py against
@@ -66,6 +67,9 @@ run_tsan() {
   cmake --preset tsan
   cmake --build --preset tsan -j "$JOBS"
   ctest --preset tsan -j "$JOBS" --timeout 900
+  # A lost wakeup or a racy slice cursor in the pool shows up only now and
+  # then: repeat its tests until one fails, up to 20 times.
+  ctest --preset tsan -R WorkerPool --repeat until-fail:20 --timeout 900
 }
 
 run_analyze() {
