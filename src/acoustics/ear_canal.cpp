@@ -54,11 +54,4 @@ double EarCanal::response_magnitude(double freq_hz) const {
                   resonance2_.response(freq_hz, fs_));
 }
 
-void EarCanal::reset() {
-  delay_.reset();
-  resonance1_.reset();
-  resonance2_.reset();
-  leak_delay_.reset();
-}
-
 }  // namespace mute::acoustics

@@ -35,8 +35,6 @@ class EarCanal {
   /// Resonance gain at `freq_hz` (diagnostic).
   double response_magnitude(double freq_hz) const;
 
-  void reset();
-
  private:
   double fs_;
   double mismatch_;

@@ -12,7 +12,7 @@ using mute::dsp::BiquadCascade;
 Transducer::Transducer(BiquadCascade response, double self_noise_rms,
                        std::string label, std::uint64_t noise_seed)
     : response_(std::move(response)), noise_rms_(self_noise_rms),
-      label_(std::move(label)), seed_(noise_seed), rng_(noise_seed) {
+      label_(std::move(label)), rng_(noise_seed) {
   ensure(self_noise_rms >= 0, "self-noise must be non-negative");
 }
 
@@ -72,11 +72,6 @@ double Transducer::response_magnitude(double freq_hz,
                                       double sample_rate) const {
   if (response_.section_count() == 0) return 1.0;
   return std::abs(response_.response(freq_hz, sample_rate));
-}
-
-void Transducer::reset() {
-  response_.reset();
-  rng_ = Rng(seed_);
 }
 
 }  // namespace mute::acoustics

@@ -53,8 +53,6 @@ class Transducer {
   /// Magnitude response at `freq_hz` (no noise term).
   double response_magnitude(double freq_hz, double sample_rate) const;
 
-  void reset();
-
   double self_noise_rms() const { return noise_rms_; }
   const std::string& label() const { return label_; }
 
@@ -62,7 +60,6 @@ class Transducer {
   mute::dsp::BiquadCascade response_;
   double noise_rms_;
   std::string label_;
-  std::uint64_t seed_;
   Rng rng_;
 };
 

@@ -120,11 +120,4 @@ std::vector<double> BlockFdaf::weights_full() const {
   return out;
 }
 
-void BlockFdaf::reset() {
-  std::fill(w_.begin(), w_.end(), Complex(0.0, 0.0));
-  std::fill(x_prev_.begin(), x_prev_.end(), 0.0);
-  std::fill(bin_power_.begin(), bin_power_.end(), 0.0);
-  power_primed_ = false;
-}
-
 }  // namespace mute::adaptive

@@ -69,8 +69,6 @@ class BlockFdaf {
   /// that half identically zero: the constrained gradient never writes it.
   std::vector<double> weights_full() const;
 
-  void reset();
-
  private:
   Options opts_;
   std::size_t block_;      // == power-of-two taps

@@ -219,10 +219,6 @@ void FxlmsEngine::set_mu(double mu) {
   opts_.mu = mu;
 }
 
-const std::vector<double>& FxlmsEngine::secondary_path() const {
-  return sec_path_;
-}
-
 void FxlmsEngine::reset_history() {
   settle();
   x_hist_.fill(0.0);

@@ -163,12 +163,11 @@ class FxlmsEngine {
   /// fast, then settle to a low-misadjustment step).
   void set_mu(double mu);
 
-  const std::vector<double>& secondary_path() const;
-
-  /// Clear signal history but keep weights (used at profile switches).
+  /// Clear signal history but keep weights (prime_history and reset).
   void reset_history();
 
-  /// Clear everything (weights and history).
+  /// Clear everything (weights and history): ShadowFilter::assign starts
+  /// each candidate relay's filter from zero.
   void reset();
 
  private:

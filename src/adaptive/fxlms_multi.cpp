@@ -73,14 +73,4 @@ const std::vector<double>& MultiFxlmsEngine::weights(
   return channels_[channel].w;
 }
 
-void MultiFxlmsEngine::reset() {
-  for (auto& ch : channels_) {
-    std::fill(ch.w.begin(), ch.w.end(), 0.0);
-    ch.x_hist.fill(0.0);
-    ch.u_hist.fill(0.0);
-    ch.sec_filter.reset();
-    ch.u_power.reset();
-  }
-}
-
 }  // namespace mute::adaptive

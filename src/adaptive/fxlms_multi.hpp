@@ -51,7 +51,6 @@ class MultiFxlmsEngine {
   MUTE_RT_SAFE Sample step_output(std::span<const Sample> x_advanced);
 
   const std::vector<double>& weights(std::size_t channel) const;
-  void reset();
 
  private:
   struct Channel {

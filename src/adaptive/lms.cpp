@@ -43,13 +43,6 @@ void AdaptiveFir::set_weights(std::span<const double> w) {
   std::copy(w.begin(), w.end(), w_.begin());
 }
 
-void AdaptiveFir::reset() {
-  std::fill(w_.begin(), w_.end(), 0.0);
-  x_.fill(0.0);
-  power_.reset();
-  last_y_ = 0.0;
-}
-
 double misalignment_db(std::span<const double> w,
                        std::span<const double> w_true) {
   ensure(w.size() == w_true.size(), "weight size mismatch");

@@ -34,7 +34,6 @@ class AdaptiveFir {
 
   const std::vector<double>& weights() const { return w_; }
   MUTE_RT_UNSAFE void set_weights(std::span<const double> w);
-  void reset();
 
   std::size_t tap_count() const { return w_.size(); }
 

@@ -88,10 +88,6 @@ std::size_t RtAllocationGuard::allocations_since_entry() const noexcept {
   return detail::t_alloc_count - entry_count_;
 }
 
-std::size_t RtAllocationGuard::thread_allocation_count() noexcept {
-  return detail::t_alloc_count;
-}
-
 bool RtAllocationGuard::interposition_enabled() noexcept {
 #if defined(MUTE_RT_GUARD_ENABLED)
   return true;

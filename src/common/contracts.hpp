@@ -82,9 +82,6 @@ class RtAllocationGuard {
   /// Heap allocations on this thread since the guard was entered.
   std::size_t allocations_since_entry() const noexcept;
 
-  /// Total allocations observed on this thread since it started.
-  static std::size_t thread_allocation_count() noexcept;
-
   /// Whether the operator new/delete interposition is compiled in.
   static bool interposition_enabled() noexcept;
 

@@ -71,7 +71,6 @@ class FilterCache {
   bool contains(FilterCacheKey key) const { return cache_.count(key) != 0; }
 
   std::size_t size() const { return cache_.size(); }
-  void clear() { cache_.clear(); }
 
  private:
   std::unordered_map<FilterCacheKey, std::vector<double>, FilterCacheKeyHash>

@@ -190,21 +190,4 @@ void LancController::apply_pending_switch() {
   ++switch_count_;
 }
 
-void LancController::reset() {
-  engine_.reset();
-  classifier_.reset();
-  cache_.clear();
-  weight_snapshots_.clear();
-  frame_buffer_.fill(0.0f);
-  frame_fill_ = 0;
-  hop_counter_ = 0;
-  current_profile_ = 0;
-  recent_ids_.clear();
-  switch_countdown_ = -1;
-  pending_profile_ = 0;
-  switch_count_ = 0;
-  holding_ = false;
-  output_gain_ = 1.0;
-}
-
 }  // namespace mute::core

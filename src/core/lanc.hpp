@@ -121,8 +121,6 @@ class LancController {
   mute::adaptive::FxlmsEngine& engine() { return engine_; }
   const LancOptions& options() const { return opts_; }
 
-  void reset();
-
  private:
   MUTE_RT_ESCAPE(
       "predictive profiling hop: amortized control-plane work (signature\n"

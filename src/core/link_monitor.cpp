@@ -135,17 +135,4 @@ Sample LinkMonitor::process(Sample x) {
   return x;
 }
 
-void LinkMonitor::reset() {
-  healthy_ = true;
-  latched_flags_ = LinkFlags::kNone;
-  short_power_ = 0.0;
-  long_power_ = 0.0;
-  silence_ema_ = 0.0;
-  bad_streak_ = 0;
-  silent_streak_ = 0;
-  good_streak_ = 0;
-  episodes_ = 0;
-  unhealthy_samples_ = 0;
-}
-
 }  // namespace mute::core

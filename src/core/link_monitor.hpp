@@ -84,8 +84,6 @@ class LinkMonitor {
   /// Total samples spent unhealthy.
   std::size_t unhealthy_samples() const { return unhealthy_samples_; }
 
-  void reset();
-
  private:
   LinkMonitorOptions opts_;
   double alpha_short_;

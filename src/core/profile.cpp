@@ -127,6 +127,4 @@ std::size_t ProfileClassifier::classify(const ProfileSignature& signature) {
   return best;
 }
 
-void ProfileClassifier::reset() { centroids_.clear(); }
-
 }  // namespace mute::core

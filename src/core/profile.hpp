@@ -70,7 +70,6 @@ class ProfileClassifier {
   std::size_t classify(const ProfileSignature& signature);
 
   std::size_t profile_count() const { return centroids_.size(); }
-  void reset();
 
  private:
   std::vector<ProfileSignature> centroids_;  // index 0 = silence

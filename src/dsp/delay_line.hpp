@@ -31,11 +31,6 @@ class DelayLine {
     return out;
   }
 
-  void reset() {
-    std::fill(buffer_.begin(), buffer_.end(), 0.0f);
-    pos_ = 0;
-  }
-
   std::size_t delay() const { return buffer_.size(); }
 
  private:
@@ -61,11 +56,6 @@ class FractionalDelay {
 
   MUTE_RT_SAFE Sample process(Sample x) {
     return fine_.process(coarse_.process(x));
-  }
-
-  void reset() {
-    coarse_.reset();
-    fine_.reset();
   }
 
   double total_delay() const { return total_delay_; }

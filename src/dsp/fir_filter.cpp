@@ -166,11 +166,4 @@ Signal FirFilter::filter(std::span<const Sample> in) {
   return out;
 }
 
-void FirFilter::reset() {
-  history_.fill(0.0);
-  std::fill(fdl_.begin(), fdl_.end(), Complex(0.0, 0.0));
-  std::fill(tail_out_.begin(), tail_out_.end(), 0.0);
-  phase_ = 0;
-}
-
 }  // namespace mute::dsp

@@ -51,10 +51,6 @@ class FirFilter {
   /// Convenience: filter a whole signal, same length as input.
   MUTE_RT_UNSAFE Signal filter(std::span<const Sample> in);
 
-  /// Clear all input state (coefficients retained): the next outputs are
-  /// those of a freshly constructed filter.
-  void reset();
-
  private:
   void run_tail_block();
 

@@ -102,12 +102,4 @@ Signal StreamingResampler::process(std::span<const Sample> in) {
   return out;
 }
 
-void StreamingResampler::reset() {
-  std::fill(tail_.begin(), tail_.end(), 0.0f);
-  tail_len_ = 0;
-  in_count_ = 0;
-  out_count_ = 0;
-  work_.clear();
-}
-
 }  // namespace mute::dsp

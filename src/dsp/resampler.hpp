@@ -34,9 +34,6 @@ class StreamingResampler {
   /// (T*L)/M.
   Signal process(std::span<const Sample> in);
 
-  /// Rewind to stream time zero (drops the carried input tail).
-  void reset();
-
  private:
   std::size_t l_ = 1, m_ = 1;
   std::vector<double> prototype_;  // lowpass at rate fs*L

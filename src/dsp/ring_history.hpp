@@ -93,8 +93,6 @@ class FrameHistory {
   T oldest() const { return buf_[head_]; }
   std::size_t size() const { return len_; }
 
-  void fill(T v) { std::fill(buf_.begin(), buf_.end(), v); }
-
   /// Resize and refill. Control-plane only: allocates.
   MUTE_RT_UNSAFE void assign(std::size_t length, T v) {
     ensure(length >= 1, "frame history length must be >= 1");

@@ -29,8 +29,6 @@ ComplexSignal FmModulator::modulate(std::span<const Sample> m) {
   return out;
 }
 
-void FmModulator::reset() { phase_ = 0.0; }
-
 FmDemodulator::FmDemodulator(double deviation_hz, double sample_rate,
                              double dc_block_hz)
     : deviation_(deviation_hz), fs_(sample_rate),
@@ -56,11 +54,6 @@ Signal FmDemodulator::demodulate(std::span<const Complex> r) {
   Signal out(r.size());
   for (std::size_t i = 0; i < r.size(); ++i) out[i] = demodulate(r[i]);
   return out;
-}
-
-void FmDemodulator::reset() {
-  prev_ = Complex(1.0, 0.0);
-  dc_block_.reset();
 }
 
 }  // namespace mute::rf

@@ -16,7 +16,6 @@ class FmModulator {
 
   Complex modulate(Sample m);
   ComplexSignal modulate(std::span<const Sample> m);
-  void reset();
 
   double deviation_hz() const { return deviation_; }
 
@@ -40,7 +39,6 @@ class FmDemodulator {
 
   Sample demodulate(Complex r);
   Signal demodulate(std::span<const Complex> r);
-  void reset();
 
  private:
   double deviation_;

@@ -31,11 +31,6 @@ Signal AudioFrontEnd::process(std::span<const Sample> x) {
   return out;
 }
 
-void AudioFrontEnd::reset() {
-  lpf1_.reset();
-  lpf2_.reset();
-}
-
 PowerAmplifier::PowerAmplifier(double backoff_db)
     : sat_level_(db_to_amplitude(backoff_db)) {
   ensure(backoff_db >= 0, "backoff must be >= 0 dB");
@@ -73,13 +68,6 @@ ComplexSignal ChannelSelectFilter::process(std::span<const Complex> x) {
   ComplexSignal out(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) out[i] = process(x[i]);
   return out;
-}
-
-void ChannelSelectFilter::reset() {
-  re1_.reset();
-  re2_.reset();
-  im1_.reset();
-  im2_.reset();
 }
 
 }  // namespace mute::rf

@@ -20,7 +20,6 @@ class AudioFrontEnd {
 
   Sample process(Sample x);
   Signal process(std::span<const Sample> x);
-  void reset();
 
   double gain() const { return gain_; }
 
@@ -54,7 +53,6 @@ class ChannelSelectFilter {
 
   Complex process(Complex x);
   ComplexSignal process(std::span<const Complex> x);
-  void reset();
 
  private:
   mute::dsp::Biquad re1_, re2_, im1_, im2_;

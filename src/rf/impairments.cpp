@@ -135,40 +135,14 @@ FaultInjector::FaultInjector(FaultSchedule schedule,
     : schedule_(std::move(schedule)),
       channel_(channel_params, sample_rate, seed),
       fs_(sample_rate),
-      seed_(seed),
-      rng_(seed ^ 0xFA17u) {
+      rng_(seed ^ 0xFA17u),
+      has_drift_(schedule_.has(FaultKind::kClockDrift)),
+      drift_ring_(has_drift_ ? kDriftRingSize : 0, Complex{0.0, 0.0}) {
   ensure(sample_rate > 0.0, "sample rate must be positive");
-  rebuild_fault_state();
-}
-
-void FaultInjector::rebuild_fault_state() {
   // Static jammer phases: deterministic per (seed, event index).
-  Rng phase_rng(seed_ ^ 0x1A33E4ull);
-  jammer_phase_.assign(schedule_.events().size(), 0.0);
-  for (std::size_t i = 0; i < jammer_phase_.size(); ++i) {
-    jammer_phase_[i] = phase_rng.uniform(0.0, kTwoPi);
-  }
-  has_drift_ = schedule_.has(FaultKind::kClockDrift);
-  drift_ring_.assign(has_drift_ ? kDriftRingSize : 0, Complex{0.0, 0.0});
-  drift_write_ = 0;
-  drift_delay_ = 0.0;
-}
-
-void FaultInjector::reset() {
-  channel_.reset();
-  rng_ = Rng(seed_ ^ 0xFA17u);
-  n_ = 0;
-  drift_write_ = 0;
-  drift_delay_ = 0.0;
-  if (has_drift_) {
-    std::fill(drift_ring_.begin(), drift_ring_.end(), Complex{0.0, 0.0});
-  }
-}
-
-void FaultInjector::set_schedule(FaultSchedule schedule) {
-  schedule_ = std::move(schedule);
-  rebuild_fault_state();
-  reset();
+  Rng phase_rng(seed ^ 0x1A33E4ull);
+  jammer_phase_.resize(schedule_.events().size());
+  for (double& phase : jammer_phase_) phase = phase_rng.uniform(0.0, kTwoPi);
 }
 
 Complex FaultInjector::process(Complex x) {
@@ -204,8 +178,7 @@ Complex FaultInjector::process(Complex x) {
     // The relay's cheap crystal runs fast/slow during a drift event; at
     // complex baseband that is a slowly growing fractional group delay.
     // The offset persists after the event (the clock was wrong for a
-    // while; the stream stays shifted), which is exactly why drift must
-    // invalidate any cached latency measurement.
+    // while; the stream stays shifted).
     drift_ring_[static_cast<std::size_t>(drift_write_ &
                                          (kDriftRingSize - 1))] = s;
     ++drift_write_;

@@ -103,12 +103,6 @@ class FaultInjector {
   MUTE_RT_SAFE Complex process(Complex x);
   ComplexSignal process(std::span<const Complex> x);
 
-  /// Rewind to stream time zero (also resets the wrapped channel).
-  void reset();
-
-  /// Replace the schedule; fault state restarts from stream time zero.
-  void set_schedule(FaultSchedule schedule);
-
   const FaultSchedule& schedule() const { return schedule_; }
 
   /// Stream time consumed so far, in seconds.
@@ -129,17 +123,14 @@ class FaultInjector {
   double tx_gain_db() const { return tx_gain_db_; }
 
   /// Group-delay shift accumulated by clock-drift events, in (RF) samples.
-  /// Non-zero drift invalidates any latency measured before the event —
-  /// see RelayLink::invalidate_latency_cache().
+  /// It persists after the event, so the stream stays shifted against a
+  /// latency measured on the healthy link.
   double accumulated_drift_samples() const { return drift_delay_; }
 
  private:
-  void rebuild_fault_state();
-
   FaultSchedule schedule_;
   RfChannel channel_;
   double fs_;
-  std::uint64_t seed_;
   Rng rng_;
   std::uint64_t n_ = 0;
 

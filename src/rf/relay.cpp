@@ -79,13 +79,6 @@ ComplexSignal RelayTransmitter::transmit(std::span<const Sample> audio) {
   return pa_.process(modulated);
 }
 
-void RelayTransmitter::reset() {
-  front_end_.reset();
-  upsampler_.reset();
-  modulator_.reset();
-  scramble_phase_ = false;
-}
-
 EarReceiver::EarReceiver(const RelayConfig& config, std::uint64_t /*seed*/)
     : cfg_(config),
       select_(kRxBandwidthHz, kDefaultRfSampleRate),
@@ -110,13 +103,6 @@ Signal EarReceiver::receive(std::span<const Complex> rf) {
   return audio;
 }
 
-void EarReceiver::reset() {
-  select_.reset();
-  demodulator_.reset();
-  downsampler_.reset();
-  descramble_phase_ = false;
-}
-
 RelayLink::RelayLink(const RelayConfig& config, std::uint64_t seed)
     : cfg_(config), seed_(seed), tx_(config, seed),
       channel_(config.faults, config.channel, kDefaultRfSampleRate,
@@ -127,14 +113,7 @@ Signal RelayLink::process(std::span<const Sample> audio) {
   return stream_link(tx_, channel_, rx_, audio);
 }
 
-void RelayLink::set_fault_schedule(FaultSchedule schedule) {
-  cfg_.faults = schedule;
-  channel_.set_schedule(std::move(schedule));
-  invalidate_latency_cache();
-}
-
-double RelayLink::measure_latency_samples() {
-  if (cached_latency_ >= 0.0) return cached_latency_;
+double RelayLink::measure_latency_samples() const {
   // Probe with band-limited white noise and find the cross-correlation
   // peak between input and output. The probe link strips the fault
   // schedule: a measurement taken through a scripted outage or jammer
@@ -144,7 +123,7 @@ double RelayLink::measure_latency_samples() {
   mute::audio::WhiteNoiseSource probe(0.2, seed_ + 77);
   RelayConfig probe_cfg = cfg_;
   probe_cfg.faults = FaultSchedule{};
-  RelayLink fresh(probe_cfg, seed_);  // do not disturb streaming state
+  RelayLink fresh(probe_cfg, seed_);
   Signal in = probe.generate(n);
   Signal out = fresh.process(in);
 
@@ -168,8 +147,7 @@ double RelayLink::measure_latency_samples() {
       best = lag;
     }
   }
-  cached_latency_ = static_cast<double>(best);
-  return cached_latency_;
+  return static_cast<double>(best);
 }
 
 double RelayLink::measure_sndr_db(double tone_hz, double amplitude) {
@@ -202,15 +180,6 @@ Signal RelayLink::eavesdrop(std::span<const Sample> audio) {
   RfChannel channel(cfg_.channel, kDefaultRfSampleRate, seed_ + 1);
   EarReceiver rx(eaves_cfg, seed_ + 2);
   return stream_link(tx, channel, rx, audio);
-}
-
-void RelayLink::reset() {
-  tx_.reset();
-  channel_.reset();
-  rx_.reset();
-  // cached_latency_ is intentionally kept: the link replays the same
-  // deterministic stream after a reset, so the measured group delay is
-  // still correct. See measure_latency_samples() in relay.hpp.
 }
 
 }  // namespace mute::rf

@@ -73,8 +73,6 @@ class RelayTransmitter {
   /// (length = audio length * kDefaultRfSampleRate / audio_rate).
   ComplexSignal transmit(std::span<const Sample> audio);
 
-  void reset();
-
  private:
   RelayConfig cfg_;
   AudioFrontEnd front_end_;
@@ -94,8 +92,6 @@ class EarReceiver {
 
   /// Receive a complex baseband block; returns audio at `audio_rate`.
   Signal receive(std::span<const Complex> rf);
-
-  void reset();
 
  private:
   RelayConfig cfg_;
@@ -124,40 +120,19 @@ class RelayLink {
   Signal process(std::span<const Sample> audio);
 
   /// Estimate the link group delay by cross-correlating a white probe with
-  /// its received copy. Deterministic per seed; cached after first call.
-  ///
-  /// Cache invariant: the measurement depends only on (config, seed) — the
-  /// probe always runs through a *fresh, fault-free* copy of the link — so
-  /// the cached value stays valid across `reset()` and across streaming.
-  /// It does NOT survive anything that changes the link's group delay:
-  /// callers that mutate the config or install a fault schedule containing
-  /// clock drift (which accumulates a persistent timing shift, see
-  /// FaultInjector::accumulated_drift_samples()) must call
-  /// `invalidate_latency_cache()` to force a re-measure.
-  double measure_latency_samples();
-
-  /// Drop the cached group-delay measurement. Called automatically by
-  /// `set_fault_schedule()`; call it manually after mutating anything else
-  /// that affects the link's timing.
-  void invalidate_latency_cache() { cached_latency_ = -1.0; }
-
-  /// Replace the scripted fault schedule mid-life. The injector's fault
-  /// clock restarts at stream time zero; the latency cache is invalidated
-  /// because drift events change the link's effective group delay.
-  void set_fault_schedule(FaultSchedule schedule);
+  /// its received copy. The probe runs through a fresh, fault-free copy of
+  /// the link built from (config, seed), so the result depends on nothing
+  /// else: not on streaming, retunes or TX gain steps.
+  double measure_latency_samples() const;
 
   /// Retune the link to another ISM channel (spectrum-planner action).
-  /// Composition with the latency cache: a retune does NOT invalidate the
-  /// cached group delay — the channel index is a narrowband coupling label
-  /// for channel-pinned jammers, not a different signal path, so the
-  /// link's group delay is unchanged. Only mutations that change timing
-  /// (set_fault_schedule with clock drift, config edits) force a
-  /// re-measure.
+  /// The channel index is a narrowband coupling label for channel-pinned
+  /// jammers, not a different signal path.
   void retune(std::size_t channel) { channel_.retune(channel); }
   std::size_t channel() const { return channel_.channel(); }
 
   /// TX power step in dB (planner escalation). Amplitude-only: the FM
-  /// information lives in frequency, so the latency cache stays valid.
+  /// information lives in frequency.
   void set_tx_gain_db(double gain_db) { channel_.set_tx_gain_db(gain_db); }
   double tx_gain_db() const { return channel_.tx_gain_db(); }
 
@@ -169,21 +144,12 @@ class RelayLink {
   /// scrambling is on. Returns the received audio record.
   Signal eavesdrop(std::span<const Sample> audio);
 
-  const RelayConfig& config() const { return cfg_; }
-  const FaultInjector& injector() const { return channel_; }
-
-  /// Rewind the link to stream time zero. Deterministic per (config, seed),
-  /// so the latency cache is intentionally kept — see
-  /// measure_latency_samples() for the invariant.
-  void reset();
-
  private:
   RelayConfig cfg_;
   std::uint64_t seed_;
   RelayTransmitter tx_;
   FaultInjector channel_;
   EarReceiver rx_;
-  double cached_latency_ = -1.0;
 };
 
 }  // namespace mute::rf

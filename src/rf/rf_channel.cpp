@@ -9,7 +9,7 @@ namespace mute::rf {
 
 RfChannel::RfChannel(RfChannelParams params, double sample_rate,
                      std::uint64_t seed)
-    : params_(params), fs_(sample_rate), seed_(seed), rng_(seed) {
+    : params_(params), fs_(sample_rate), rng_(seed) {
   ensure(sample_rate > 0, "sample rate must be positive");
   ensure(params.fading_depth >= 0 && params.fading_depth < 1,
          "fading depth in [0,1)");
@@ -42,13 +42,6 @@ ComplexSignal RfChannel::process(std::span<const Complex> x) {
   ComplexSignal out(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) out[i] = process(x[i]);
   return out;
-}
-
-void RfChannel::reset() {
-  rng_ = Rng(seed_);
-  cfo_phase_ = pn_phase_ = 0.0;
-  fade_state_ = 0.0;
-  static_phase_ = rng_.uniform(0.0, kTwoPi);
 }
 
 }  // namespace mute::rf

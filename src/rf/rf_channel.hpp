@@ -30,12 +30,10 @@ class RfChannel {
 
   Complex process(Complex x);
   ComplexSignal process(std::span<const Complex> x);
-  void reset();
 
  private:
   RfChannelParams params_;
   double fs_;
-  std::uint64_t seed_;
   Rng rng_;
   double noise_std_ = 0.0;
   double cfo_phase_ = 0.0;

@@ -91,8 +91,8 @@ struct PlannerAction {
 ///   - note_adverse(relay, now_s) whenever the link monitor flags the
 ///     relay's stream unhealthy; note_clean(relay, now_s) otherwise.
 ///   - action = plan(relay, now_s); apply kHop via RelayLink::retune()
-///     (latency cache intentionally survives — see relay.hpp) or kTxStep
-///     via RelayLink::set_tx_gain_db().
+///     or kTxStep via RelayLink::set_tx_gain_db(). Neither moves the
+///     link's measured latency (see relay.hpp).
 class SpectrumPlanner {
  public:
   /// Adverse pressure a relay must accumulate before the planner acts.

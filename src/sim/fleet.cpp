@@ -188,7 +188,6 @@ void FleetRuntime::run_blocks(std::size_t blocks) {
           (order_.size() + config_.batch_tenants - 1) / config_.batch_tenants;
       pool_.run(items, [this](std::size_t item) { process_item(item); });
     }
-    ++blocks_processed_;
   }
 }
 

@@ -175,7 +175,6 @@ class FleetRuntime {
   std::size_t capacity() const { return config_.max_tenants; }
   std::size_t block_samples() const { return config_.block_samples; }
   std::size_t worker_count() const { return pool_.worker_count(); }
-  std::uint64_t blocks_processed() const { return blocks_processed_; }
 
   bool is_live(std::uint64_t tenant_id) const {
     return live_.count(tenant_id) != 0;
@@ -254,7 +253,6 @@ class FleetRuntime {
   bool schedule_dirty_ = false;
 
   std::uint64_t next_id_ = 1;
-  std::uint64_t blocks_processed_ = 0;
   std::atomic<std::uint64_t> steady_allocs_{0};
 
   std::vector<TenantStats> completed_;

@@ -33,8 +33,6 @@ Sample PassiveShell::process(Sample x) {
                              static_cast<double>(shelves_.process(x)));
 }
 
-void PassiveShell::reset() { shelves_.reset(); }
-
 double PassiveShell::insertion_loss_db(double freq_hz) const {
   const double mag =
       broadband_gain_ * std::abs(shelves_.response(freq_hz, fs_));

@@ -27,7 +27,6 @@ class PassiveShell {
 
   /// Streaming form.
   Sample process(Sample x);
-  void reset();
 
   /// Insertion loss at `freq_hz` in dB (positive = attenuation).
   double insertion_loss_db(double freq_hz) const;

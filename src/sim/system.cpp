@@ -368,8 +368,10 @@ SystemResult run_anc_simulation(audio::SoundSource& noise,
   // --- 10. Streaming ANC loop ------------------------------------------
   result.residual.resize(n);
   result.anti_at_ear.resize(n);
-  Signal error_queue(config.error_feedback_delay_samples, 0.0f);
-  std::size_t eq_pos = 0;
+  // Feedback returns over RF with a delay (tabletop/edge variants); a
+  // zero delay is the identity.
+  mute::dsp::DelayLine error_feedback_delay(
+      config.error_feedback_delay_samples);
   const bool schedule_mu = config.mu_settle > 0 && config.mu_settle < config.mu;
   for (std::size_t t = 0; t < n; ++t) {
     if (schedule_mu && (t & 0x3F) == 0) {
@@ -401,16 +403,7 @@ SystemResult run_anc_simulation(audio::SoundSource& noise,
         static_cast<Sample>(static_cast<double>(d_at_ear[t]) +
                             static_cast<double>(anti));
     const Sample e = err_mic.process(at_ear);
-    const Sample e_adapt = error_lpf.process(e);
-    if (error_queue.empty()) {
-      lanc.observe_error(e_adapt);
-    } else {
-      // Feedback returns over RF with a delay (tabletop/edge variants).
-      const Sample delayed = error_queue[eq_pos];
-      error_queue[eq_pos] = e_adapt;
-      eq_pos = (eq_pos + 1) % error_queue.size();
-      lanc.observe_error(delayed);
-    }
+    lanc.observe_error(error_feedback_delay.process(error_lpf.process(e)));
     result.residual[t] = meas_mic_resid.process(at_ear);
     result.anti_at_ear[t] = anti;
   }

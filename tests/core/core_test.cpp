@@ -394,17 +394,6 @@ TEST(Lanc, ProfilingDetectsAlternatingSources) {
   EXPECT_GE(lanc.profile_switch_count(), 2u);
 }
 
-TEST(Lanc, ResetRestoresInitialState) {
-  LancOptions opts;
-  opts.fxlms.causal_taps = 8;
-  LancController lanc({1.0}, opts);
-  lanc.tick(1.0f);
-  lanc.observe_error(0.5f);
-  lanc.reset();
-  EXPECT_EQ(lanc.profile_switch_count(), 0u);
-  for (double w : lanc.engine().weights()) EXPECT_EQ(w, 0.0);
-}
-
 TEST(Lanc, LookaheadSamplesReportsN) {
   LancOptions opts;
   opts.fxlms.causal_taps = 8;

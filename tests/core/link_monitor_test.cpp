@@ -105,19 +105,6 @@ TEST(LinkMonitor, SaturationIsFlagged) {
   EXPECT_TRUE(mon.flags() & LinkFlags::kSaturated);
 }
 
-TEST(LinkMonitor, ResetClearsEverything) {
-  LinkMonitor mon(LinkMonitorOptions{}, kFs);
-  Rng rng(7);
-  feed_noise(mon, rng, 0.09, 0.5);
-  feed_noise(mon, rng, 0.33, 0.2);
-  EXPECT_FALSE(mon.healthy());
-  mon.reset();
-  EXPECT_TRUE(mon.healthy());
-  EXPECT_EQ(mon.fault_episodes(), 0u);
-  EXPECT_EQ(mon.unhealthy_samples(), 0u);
-  EXPECT_EQ(mon.flags(), LinkFlags::kNone);
-}
-
 TEST(LinkMonitor, ProcessIsAllocationFree) {
   if (!RtAllocationGuard::interposition_enabled()) {
     GTEST_SKIP() << "allocation interposition not enabled in this build";

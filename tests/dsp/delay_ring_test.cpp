@@ -23,14 +23,6 @@ TEST(DelayLine, DelaysByExactSampleCount) {
   EXPECT_FLOAT_EQ(d.process(5.0f), 2.0f);
 }
 
-TEST(DelayLine, ResetFlushesContents) {
-  DelayLine d(2);
-  d.process(9.0f);
-  d.reset();
-  EXPECT_FLOAT_EQ(d.process(0.0f), 0.0f);
-  EXPECT_FLOAT_EQ(d.process(0.0f), 0.0f);
-}
-
 TEST(FractionalDelay, IntegerDelayMatchesDelayLine) {
   FractionalDelay fd(20.0, 31);
   DelayLine dl(20);

@@ -90,13 +90,6 @@ TEST(FirFilter, MatchesDirectConvolution) {
   }
 }
 
-TEST(FirFilter, ResetClearsHistory) {
-  FirFilter f({1.0, 1.0});
-  f.process(5.0f);
-  f.reset();
-  EXPECT_FLOAT_EQ(f.process(0.0f), 0.0f);
-}
-
 TEST(FirFilter, RejectsEmptyCoefficients) {
   EXPECT_THROW(FirFilter({}), PreconditionError);
 }
@@ -227,18 +220,6 @@ TEST(FirFilterPartitioned, BlockBoundariesAreSeamless) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     ASSERT_NEAR(y[i], ref[i], tol) << "i=" << i << " offset in block=" << i % kBlock;
   }
-}
-
-TEST(FirFilterPartitioned, ResetMidBlockRestoresInitialOutput) {
-  const auto h = decaying_ir(2078, 5);
-  const Signal x = white(3000, 8);
-  FirFilter fresh(h);
-  const Signal want = run_scalar(fresh, x);
-  FirFilter f(h);
-  (void)run_scalar(f, std::span<const Sample>(x.data(), 1000));
-  ASSERT_NE(1000 % kBlock, 0U);  // the reset lands mid-block
-  f.reset();
-  EXPECT_EQ(run_scalar(f, x), want);
 }
 
 TEST(FirFilterPartitioned, SteadyStateIsAllocationFree) {

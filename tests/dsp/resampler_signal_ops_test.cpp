@@ -94,14 +94,6 @@ TEST(StreamingResampler, FortyEightKilohertzRatioMatchesBatch) {
   expect_bit_equal(stream_in_blocks(48000.0, 16000.0, x, 317), want);
 }
 
-TEST(StreamingResampler, ResetRewindsToStreamStart) {
-  const Signal x = gaussian_record(1600, 24);
-  StreamingResampler rs(16000.0, 256000.0);
-  const Signal first = rs.process(x);
-  rs.reset();
-  expect_bit_equal(rs.process(x), first);
-}
-
 TEST(StreamingResampler, IdentityRatioPassesThrough) {
   Rng rng(1);
   Signal x(100);

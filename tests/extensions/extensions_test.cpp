@@ -156,14 +156,6 @@ TEST(Fdaf, ConvergesFasterThanNlmsOnColoredInput) {
   EXPECT_LT(mis_f, mis_n + 1.0);  // at least as good, typically much better
 }
 
-TEST(Fdaf, ResetClearsState) {
-  adaptive::BlockFdaf fdaf({.taps = 32});
-  Signal x(32, 0.5f), d(32, 0.25f), e(32);
-  fdaf.step_block(x, d, e);
-  fdaf.reset();
-  for (double w : fdaf.weights()) EXPECT_EQ(w, 0.0);
-}
-
 TEST(Fdaf, RejectsWrongBlockSize) {
   adaptive::BlockFdaf fdaf({.taps = 32});
   Signal x(16), d(16), e(16);

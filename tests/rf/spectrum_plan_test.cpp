@@ -1,7 +1,7 @@
 // Unit tests for the monitor-driven SpectrumPlanner (tentpole, part 2):
 // the hop -> hop -> TX escalation state machine, min-dwell rate limiting,
 // mesh-wide channel-penalty sharing, peer-occupancy avoidance, and the
-// composition of planner actions with RelayLink's latency cache (a retune
+// composition of planner actions with RelayLink's latency probe (a retune
 // is a coupling-label change, not a new signal path).
 #include <cmath>
 #include <cstddef>
@@ -159,20 +159,28 @@ TEST(SpectrumPlanner, PressureAndPenaltiesDecayWithTime) {
 }
 
 TEST(RelayLink, RetuneComposesWithTheLatencyCache) {
-  // A retune is a narrowband coupling label, not a new signal path: the
-  // group delay is unchanged, so the cached measurement stays valid and a
-  // re-measure agrees. Installing a fault schedule (which may contain
-  // clock drift) invalidates the cache automatically and the fresh-copy
-  // probe still reproduces the same benign-path delay.
+  // A retune is a narrowband coupling label, not a new signal path, and
+  // the latency probe runs a fresh, fault-free copy of the link: one link
+  // that streams a faulted record (a pinned jammer and a clock drift that
+  // shifts its own group delay), retunes and steps its TX gain must keep
+  // giving the same probe bits, and so must a second link built alike.
   RelayConfig cfg;
+  cfg.faults.jammer(0.0, 1.0, 800.0, 20.0, /*channel=*/0)
+      .clock_drift(0.0, 1.0, 200.0);
   RelayLink link(cfg, 42);
   const double d0 = link.measure_latency_samples();
+  Signal record(static_cast<std::size_t>(1.25 * cfg.audio_rate));
+  for (std::size_t i = 0; i < record.size(); ++i) {
+    record[i] = static_cast<Sample>(
+        0.1 * std::sin(0.071 * static_cast<double>(i)));
+  }
+  (void)link.process(record);
+  EXPECT_EQ(link.measure_latency_samples(), d0);
   link.retune(5);
-  EXPECT_DOUBLE_EQ(link.measure_latency_samples(), d0);
+  EXPECT_EQ(link.measure_latency_samples(), d0);
   link.set_tx_gain_db(3.0);
-  EXPECT_DOUBLE_EQ(link.measure_latency_samples(), d0);
-  link.set_fault_schedule(FaultSchedule{}.relay_off(1.0, 0.5));
-  EXPECT_NEAR(link.measure_latency_samples(), d0, 1e-9);
+  EXPECT_EQ(link.measure_latency_samples(), d0);
+  EXPECT_EQ(RelayLink(cfg, 42).measure_latency_samples(), d0);
 }
 
 TEST(RelayLink, RetuneDoesNotPerturbTheBenignPath) {
@@ -207,10 +215,9 @@ TEST(RelayLink, HoppingOffAPinnedJammerChannelRestoresTheLink) {
   // link retuned to a distant channel barely couples to it. This is the
   // physical lever the planner's kHop action pulls.
   RelayConfig cfg;
+  cfg.faults.jammer(0.0, 10.0, 800.0, 20.0, /*channel=*/0);
   auto jammed = [&](std::size_t channel) {
     RelayLink link(cfg, 9);
-    link.set_fault_schedule(
-        FaultSchedule{}.jammer(0.0, 10.0, 800.0, 20.0, /*channel=*/0));
     link.retune(channel);
     Signal probe(8192);
     for (std::size_t i = 0; i < probe.size(); ++i) {

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
-# Local CI pipeline — the gating jobs of .github/workflows/ci.yml (the
-# workflow's extra failover-smoke job is reporting-only and runs the
-# bench/failover table as a per-push artifact), runnable on any machine
-# with the base toolchain:
+# Local CI pipeline — the one definition of every job in
+# .github/workflows/ci.yml, runnable on any machine with the base
+# toolchain. The gating jobs:
 #
 #   1. plain    : dev preset build + full ctest
 #   2. sanitize : asan-ubsan preset build + ctest -L sanitize
@@ -31,11 +30,18 @@
 #                 allocations, exact ledger replay) and trace checks;
 #                 writes e2e-smoke-report.json (bench/e2e/README.md)
 #
+# One reporting job, outside the default list because it asserts nothing:
+#
+#   failover-smoke : the warm-standby failover table (bench/failover,
+#                 DESIGN.md §9) across the five canonical fault scenarios;
+#                 writes failover-table.txt. Fails only if the bench does
+#                 not build or does not run to completion.
+#
 # `rt-lint` is also available standalone (subset of analyze): it re-runs
 # only the static RT-safety gate, seconds instead of a full tidy sweep.
 #
 # Usage: tools/ci.sh [plain|sanitize|tsan|analyze|rt-lint|perf|soak-smoke|
-#                     fleet-smoke|e2e-smoke]...
+#                     fleet-smoke|e2e-smoke|failover-smoke]...
 #        (default: plain sanitize tsan analyze perf soak-smoke fleet-smoke
 #         e2e-smoke)
 #
@@ -141,6 +147,15 @@ run_e2e_smoke() {
   python3 bench/e2e/run.py --smoke --out e2e-smoke-report.json
 }
 
+# Handoff vs re-listen, outage depth and recovery time per scenario; the
+# table is the artifact, so a regression shows per push without a gate.
+run_failover_smoke() {
+  echo "=== job: failover smoke (reporting only) ==="
+  cmake --preset dev
+  cmake --build --preset dev -j "$JOBS" --target failover
+  ./build-dev/bench/failover | tee failover-table.txt
+}
+
 if [[ $# -eq 0 ]]; then
   set -- plain sanitize tsan analyze perf soak-smoke fleet-smoke e2e-smoke
 fi
@@ -156,10 +171,11 @@ for job in "$@"; do
     soak-smoke) run_soak_smoke ;;
     fleet-smoke) run_fleet_smoke ;;
     e2e-smoke) run_e2e_smoke ;;
+    failover-smoke) run_failover_smoke ;;
     *)
       echo "unknown job: $job" \
         "(expected plain|sanitize|tsan|analyze|rt-lint|perf|soak-smoke|" \
-        "fleet-smoke|e2e-smoke)" >&2
+        "fleet-smoke|e2e-smoke|failover-smoke)" >&2
       exit 2
       ;;
   esac
